@@ -43,9 +43,12 @@ use crate::testbed::{build_blk_device, DriverKind, TestbedConfig, Transport};
 /// descriptors plus header and status.
 pub const BLK_SEG_MAX: u32 = 4;
 
+/// Multiplier of the disk-image hash.
+const PATTERN_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Deterministic disk image byte at absolute disk offset `i`.
 fn pattern_at(i: u64) -> u8 {
-    (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+    (i.wrapping_mul(PATTERN_MUL) >> 56) as u8
 }
 
 /// The deterministic disk image: `len` bytes starting at `sector`.
@@ -54,6 +57,32 @@ fn pattern_at(i: u64) -> u8 {
 pub fn pattern_bytes(sector: u64, len: usize) -> Vec<u8> {
     let base = sector * SECTOR_SIZE as u64;
     (0..len as u64).map(|k| pattern_at(base + k)).collect()
+}
+
+/// Fill `buf` with the disk image starting at `sector`: the in-place
+/// form of [`pattern_bytes`]. The hash of offset `i + 1` is the hash of
+/// `i` plus [`PATTERN_MUL`], so each byte costs one add and one shift.
+pub(crate) fn fill_pattern(sector: u64, buf: &mut [u8]) {
+    let mut h = (sector * SECTOR_SIZE as u64).wrapping_mul(PATTERN_MUL);
+    for b in buf {
+        *b = (h >> 56) as u8;
+        h = h.wrapping_add(PATTERN_MUL);
+    }
+}
+
+/// Whether `data` is exactly `pattern_bytes(sector, len)`: the same
+/// length and every byte equal. Compares one sector at a time against
+/// a stack buffer, so verifying a read allocates nothing.
+pub(crate) fn matches_pattern(sector: u64, len: usize, data: &[u8]) -> bool {
+    if data.len() != len {
+        return false;
+    }
+    let mut want = [0u8; SECTOR_SIZE];
+    data.chunks(SECTOR_SIZE).zip(sector..).all(|(got, s)| {
+        let want = &mut want[..got.len()];
+        fill_pattern(s, want);
+        got == want
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -93,10 +122,13 @@ impl BlkParts {
         };
         let capacity = disk.capacity();
         const CHUNK: u64 = 256;
+        let mut chunk = vec![0u8; CHUNK as usize * SECTOR_SIZE];
         let mut s = 0;
         while s < capacity {
             let n = CHUNK.min(capacity - s);
-            disk.load(s, &pattern_bytes(s, n as usize * SECTOR_SIZE));
+            let buf = &mut chunk[..n as usize * SECTOR_SIZE];
+            fill_pattern(s, buf);
+            disk.load(s, buf);
             s += n;
         }
 
@@ -233,13 +265,18 @@ impl World for BlkWorld {
                 t += d;
                 let sector = (self.issued as u64 / 2 % self.slots) * self.sectors_per_io;
                 let sub = if self.issued.is_multiple_of(2) {
-                    let mut payload = vec![0u8; self.io_bytes];
-                    self.parts.payload_rng.fill_bytes(&mut payload);
-                    self.expected = payload.clone();
+                    // The write payload is the next read's expectation.
+                    self.expected.resize(self.io_bytes, 0);
+                    self.parts.payload_rng.fill_bytes(&mut self.expected);
                     self.pending_read = false;
                     self.parts
                         .driver
-                        .submit_write(&mut self.parts.mem, sector, &payload, &mut self.parts.cost)
+                        .submit_write(
+                            &mut self.parts.mem,
+                            sector,
+                            &self.expected,
+                            &mut self.parts.cost,
+                        )
                         .expect("serial world never exceeds depth 1")
                 } else {
                     self.pending_read = true;
@@ -456,6 +493,9 @@ struct BlkPipelinedWorld {
     send_time: HashMap<u32, Time>,
     /// tag → (sector, is_read) for completion verification.
     meta: HashMap<u32, (u64, bool)>,
+    /// Write payload, sized on the first write and refilled from
+    /// `payload_rng` for every write.
+    payload: Vec<u8>,
     latency: SampleSet,
     completed: usize,
     verify_failures: u64,
@@ -480,6 +520,7 @@ impl BlkPipelinedWorld {
             sectors_per_io,
             send_time: HashMap::new(),
             meta: HashMap::new(),
+            payload: Vec::new(),
             latency: SampleSet::with_capacity(cfg.packets),
             completed: 0,
             verify_failures: 0,
@@ -516,11 +557,16 @@ impl BlkPipelinedWorld {
                     )
                     .expect("window sized to the driver depth")
             } else {
-                let mut payload = vec![0u8; self.io_bytes as usize];
-                self.parts.payload_rng.fill_bytes(&mut payload);
+                self.payload.resize(self.io_bytes as usize, 0);
+                self.parts.payload_rng.fill_bytes(&mut self.payload);
                 self.parts
                     .driver
-                    .submit_write(&mut self.parts.mem, sector, &payload, &mut self.parts.cost)
+                    .submit_write(
+                        &mut self.parts.mem,
+                        sector,
+                        &self.payload,
+                        &mut self.parts.cost,
+                    )
                     .expect("window sized to the driver depth")
             };
             t += sub.cpu;
@@ -581,7 +627,7 @@ impl World for BlkPipelinedWorld {
                     let (sector, is_read) = self.meta.remove(&d.tag).expect("known tag");
                     let bad_read = is_read
                         && self.pattern.is_read()
-                        && d.data != pattern_bytes(sector, self.io_bytes as usize);
+                        && !matches_pattern(sector, self.io_bytes as usize, &d.data);
                     if d.status != blk_status::OK || bad_read {
                         self.verify_failures += 1;
                     }
@@ -673,6 +719,9 @@ struct XdmaStorageWorld {
     pattern: BlkPattern,
     io_bytes: u32,
     buf: u64,
+    /// Write payload, sized on the first write and refilled from `rng`
+    /// for every write.
+    payload: Vec<u8>,
     card_slots: u64,
     next_slot: u64,
     card_slot: u64,
@@ -702,12 +751,12 @@ impl XdmaStorageWorld {
         if pattern.is_read() {
             // The baseline reads the same deterministic image the
             // virtio-blk disk ships with.
+            let mut chunk = vec![0u8; 64 * SECTOR_SIZE];
             let mut off = 0u64;
             while (off as usize) < card_len {
-                let n = (card_len - off as usize).min(64 * SECTOR_SIZE);
-                design
-                    .card
-                    .write(off, &pattern_bytes(off / SECTOR_SIZE as u64, n));
+                let n = (card_len - off as usize).min(chunk.len());
+                fill_pattern(off / SECTOR_SIZE as u64, &mut chunk[..n]);
+                design.card.write(off, &chunk[..n]);
                 off += n as u64;
             }
         }
@@ -733,6 +782,7 @@ impl XdmaStorageWorld {
             pattern,
             io_bytes,
             buf,
+            payload: Vec::new(),
             card_slots: (card_len / io_bytes as usize) as u64,
             next_slot: 0,
             card_slot: 0,
@@ -785,9 +835,9 @@ impl World for XdmaStorageWorld {
                         &mut self.cost,
                     )
                 } else {
-                    let mut data = vec![0u8; self.io_bytes as usize];
-                    self.rng.fill_bytes(&mut data);
-                    HostMemory::write(&mut self.mem, self.buf, &data);
+                    self.payload.resize(self.io_bytes as usize, 0);
+                    self.rng.fill_bytes(&mut self.payload);
+                    HostMemory::write(&mut self.mem, self.buf, &self.payload);
                     self.driver.write_setup(
                         &mut self.mem,
                         self.buf,
@@ -846,9 +896,10 @@ impl World for XdmaStorageWorld {
                 if self.pattern.is_read() {
                     let d = self.cost.copy_user(self.io_bytes as usize);
                     t += d;
-                    let got = self.mem.slice(self.buf, self.io_bytes as usize).to_vec();
+                    let len = self.io_bytes as usize;
+                    let got = self.mem.slice(self.buf, len);
                     let sector = self.card_slot * u64::from(self.io_bytes) / SECTOR_SIZE as u64;
-                    if got != pattern_bytes(sector, self.io_bytes as usize) {
+                    if !matches_pattern(sector, len, got) {
                         self.verify_failures += 1;
                     }
                 }
@@ -911,6 +962,57 @@ mod tests {
 
     fn cfg(packets: usize) -> TestbedConfig {
         TestbedConfig::paper(DriverKind::VirtioBlk, 4096, packets, 91)
+    }
+
+    #[test]
+    fn pattern_helpers_agree_with_pattern_bytes() {
+        for (sector, len) in [
+            (0u64, 0usize),
+            (0, 1),
+            (3, 511),
+            (7, 512),
+            (9, 513),
+            (1234, 128 << 10),
+            (32767, 4096),
+        ] {
+            let want = pattern_bytes(sector, len);
+            let mut buf = vec![0xAA; len];
+            fill_pattern(sector, &mut buf);
+            assert_eq!(buf, want, "fill_pattern: sector {sector} len {len}");
+            assert!(
+                matches_pattern(sector, len, &want),
+                "matches_pattern: sector {sector} len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn matches_pattern_rejects_corrupt_shifted_and_short_buffers() {
+        let (sector, len) = (40u64, 4 * SECTOR_SIZE + 100);
+        let good = pattern_bytes(sector, len);
+        // A single flipped bit in the first, a boundary, and the last byte.
+        for i in [
+            0,
+            SECTOR_SIZE - 1,
+            SECTOR_SIZE,
+            2 * SECTOR_SIZE + 7,
+            len - 1,
+        ] {
+            let mut bad = good.clone();
+            bad[i] ^= 1;
+            assert!(!matches_pattern(sector, len, &bad), "flipped byte {i}");
+        }
+        // The right bytes for the neighbouring sector.
+        assert!(!matches_pattern(sector + 1, len, &good));
+        assert!(!matches_pattern(
+            sector,
+            len,
+            &pattern_bytes(sector + 1, len)
+        ));
+        // Correct prefix, wrong length.
+        assert!(!matches_pattern(sector, len, &good[..len - 1]));
+        assert!(!matches_pattern(sector, len, &[]));
+        assert!(!matches_pattern(sector, len - 1, &good));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 
 use vf_sim::Time;
 
-use crate::tlp::{split_aligned, wire_bytes, TlpKind};
+use crate::tlp::{chunks_aligned, wire_bytes, TlpKind};
 
 /// PCIe protocol generation — sets the per-lane wire rate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -374,10 +374,19 @@ impl PcieLink {
     }
 
     /// Serialize one TLP in `dir` no earlier than `earliest`; returns the
-    /// instant its last symbol leaves the sender.
-    fn put_tlp(&mut self, earliest: Time, dir: Direction, kind: TlpKind, payload: usize) -> Time {
+    /// instant its last symbol leaves the sender. `ps_per_byte` is
+    /// [`LinkConfig::ps_per_byte`], which bulk callers compute once per
+    /// transfer rather than once per TLP.
+    fn put_tlp(
+        &mut self,
+        earliest: Time,
+        dir: Direction,
+        kind: TlpKind,
+        payload: usize,
+        ps_per_byte: u64,
+    ) -> Time {
         let wire = wire_bytes(kind, payload);
-        let ser = self.cfg.serialize(wire);
+        let ser = Time::from_ps(wire as u64 * ps_per_byte);
         let multi_tag = self.cfg.multi_tag;
         let end = self.wire_for(dir).reserve(multi_tag, earliest, ser);
         let start = end - ser;
@@ -409,17 +418,25 @@ impl PcieLink {
     /// itself un-stalls long before this (posted semantics); the CPU-side
     /// cost is the host model's business.
     pub fn mmio_write(&mut self, now: Time, len: usize) -> Time {
-        let sent = self.put_tlp(now, Direction::Downstream, TlpKind::MemWrite, len);
+        let ps = self.cfg.ps_per_byte();
+        let sent = self.put_tlp(now, Direction::Downstream, TlpKind::MemWrite, len, ps);
         sent + self.cfg.propagation
     }
 
     /// Host CPU reads `len` bytes from a BAR (non-posted, CPU stalls).
     /// Returns the instant the completion data is back in the CPU.
     pub fn mmio_read(&mut self, now: Time, len: usize) -> Time {
-        let req_sent = self.put_tlp(now, Direction::Downstream, TlpKind::MemRead, 0);
+        let ps = self.cfg.ps_per_byte();
+        let req_sent = self.put_tlp(now, Direction::Downstream, TlpKind::MemRead, 0, ps);
         let at_dev = req_sent + self.cfg.propagation;
         let reply_ready = at_dev + self.cfg.dev_mmio_latency;
-        let cpl_sent = self.put_tlp(reply_ready, Direction::Upstream, TlpKind::CplD, len.max(4));
+        let cpl_sent = self.put_tlp(
+            reply_ready,
+            Direction::Upstream,
+            TlpKind::CplD,
+            len.max(4),
+            ps,
+        );
         cpl_sent + self.cfg.propagation
     }
 
@@ -437,29 +454,30 @@ impl PcieLink {
         if len == 0 {
             return now;
         }
-        let chunks = split_aligned(addr, len, self.cfg.read_req);
+        let ps = self.cfg.ps_per_byte();
+        let (read_req, mps) = (self.cfg.read_req, self.cfg.mps);
+        let (propagation, rc_read_latency) = (self.cfg.propagation, self.cfg.rc_read_latency);
         let window = self.cfg.outstanding_reads.max(1);
         // Completion instants of in-flight requests, oldest first.
         let mut inflight: VecDeque<Time> = VecDeque::with_capacity(window);
         let mut chunk_addr = addr;
         let mut last_done = now;
-        for chunk in chunks {
+        for chunk in chunks_aligned(addr, len, read_req) {
             // Tag availability: wait for the oldest outstanding request if
             // the window is full.
             let mut earliest = now;
             if inflight.len() == window {
                 earliest = inflight.pop_front().expect("window non-empty");
             }
-            let req_sent = self.put_tlp(earliest, Direction::Upstream, TlpKind::MemRead, 0);
-            let at_rc = req_sent + self.cfg.propagation;
-            let data_ready = at_rc + self.cfg.rc_read_latency;
+            let req_sent = self.put_tlp(earliest, Direction::Upstream, TlpKind::MemRead, 0, ps);
+            let at_rc = req_sent + propagation;
+            let data_ready = at_rc + rc_read_latency;
             // Completions stream back, split at MPS boundaries.
             let mut done = data_ready;
-            for cpl in split_aligned(chunk_addr, chunk, self.cfg.mps) {
-                let sent = self.put_tlp(done, Direction::Downstream, TlpKind::CplD, cpl);
-                done = sent;
+            for cpl in chunks_aligned(chunk_addr, chunk, mps) {
+                done = self.put_tlp(done, Direction::Downstream, TlpKind::CplD, cpl, ps);
             }
-            done += self.cfg.propagation;
+            done += propagation;
             inflight.push_back(done);
             last_done = done;
             chunk_addr += chunk as u64;
@@ -489,6 +507,9 @@ impl PcieLink {
         if len == 0 {
             return now;
         }
+        let ps = self.cfg.ps_per_byte();
+        let (read_req, mps) = (self.cfg.read_req, self.cfg.mps);
+        let (propagation, rc_read_latency) = (self.cfg.propagation, self.cfg.rc_read_latency);
         let window = self.cfg.max_outstanding_np.max(1);
         let relaxed = self.cfg.relaxed_ordering;
         let reorder = self.cfg.reorder_window.max(1);
@@ -503,7 +524,7 @@ impl PcieLink {
         let mut chunk_addr = addr;
         let mut last_done = now;
         let mut issued = 0u64;
-        for chunk in split_aligned(addr, len, self.cfg.read_req) {
+        for chunk in chunks_aligned(addr, len, read_req) {
             issued += 1;
             // Tag availability: retire reads whose completions have
             // landed by our earliest possible issue instant. Under
@@ -525,14 +546,14 @@ impl PcieLink {
                     ctx.inflight.remove(idx);
                 }
             }
-            let req_sent = self.put_tlp(earliest, Direction::Upstream, TlpKind::MemRead, 0);
-            let at_rc = req_sent + self.cfg.propagation;
-            let data_ready = at_rc + self.cfg.rc_read_latency;
+            let req_sent = self.put_tlp(earliest, Direction::Upstream, TlpKind::MemRead, 0, ps);
+            let at_rc = req_sent + propagation;
+            let data_ready = at_rc + rc_read_latency;
             let mut done = data_ready;
-            for cpl in split_aligned(chunk_addr, chunk, self.cfg.mps) {
-                done = self.put_tlp(done, Direction::Downstream, TlpKind::CplD, cpl);
+            for cpl in chunks_aligned(chunk_addr, chunk, mps) {
+                done = self.put_tlp(done, Direction::Downstream, TlpKind::CplD, cpl, ps);
             }
-            done += self.cfg.propagation;
+            done += propagation;
             let ctx = &mut self.np_contexts[tag];
             if relaxed {
                 // Bounded reordering: this completion may pass at most
@@ -590,12 +611,11 @@ impl PcieLink {
         if len == 0 {
             return now;
         }
+        let ps = self.cfg.ps_per_byte();
+        let multi_tag = self.cfg.multi_tag;
+        let (propagation, credit_return) = (self.cfg.propagation, self.cfg.credit_return);
         let window = self.cfg.posted_window.max(1);
-        let tag = if self.cfg.multi_tag {
-            self.active_tag
-        } else {
-            0
-        };
+        let tag = if multi_tag { self.active_tag } else { 0 };
         if self.posted_credits.len() <= tag {
             self.posted_credits.resize_with(tag + 1, VecDeque::new);
         }
@@ -607,13 +627,13 @@ impl PcieLink {
         // events).
         let mut granted = 0u64;
         let mut released = 0u64;
-        for chunk in split_aligned(addr, len, self.cfg.mps) {
+        for chunk in chunks_aligned(addr, len, self.cfg.mps) {
             // Retire credits that have already returned by our earliest
             // possible send time, then stall if still at the window limit.
             // Each DMA tag context paces its own posted pipeline; in
             // single-tag mode everything charges context 0, preserving
             // the strictly FIFO credit model.
-            let mut earliest = if self.cfg.multi_tag {
+            let mut earliest = if multi_tag {
                 now
             } else {
                 now.max(self.up.watermark)
@@ -632,9 +652,9 @@ impl PcieLink {
                     .expect("credit queue non-empty");
                 released += 1;
             }
-            let sent = self.put_tlp(earliest, Direction::Upstream, TlpKind::MemWrite, chunk);
-            let at_rc = sent + self.cfg.propagation;
-            let ret = at_rc + self.cfg.credit_return;
+            let sent = self.put_tlp(earliest, Direction::Upstream, TlpKind::MemWrite, chunk, ps);
+            let at_rc = sent + propagation;
+            let ret = at_rc + credit_return;
             self.posted_credits[tag].push_back(ret);
             granted += 1;
             last_arrival = at_rc;
@@ -658,7 +678,8 @@ impl PcieLink {
     /// address. Returns the instant the interrupt reaches the host's
     /// interrupt controller.
     pub fn msix_write(&mut self, now: Time) -> Time {
-        let sent = self.put_tlp(now, Direction::Upstream, TlpKind::MemWrite, 4);
+        let ps = self.cfg.ps_per_byte();
+        let sent = self.put_tlp(now, Direction::Upstream, TlpKind::MemWrite, 4, ps);
         let at_host = sent + self.cfg.propagation + self.cfg.rc_write_latency;
         vf_trace::instant(vf_trace::Layer::Irq, "msix", at_host, 0, 0);
         at_host

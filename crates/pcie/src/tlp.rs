@@ -59,21 +59,52 @@ pub fn wire_bytes(kind: TlpKind, payload: usize) -> usize {
 /// `max_chunk`-aligned boundary (the spec's MPS / RCB alignment rule; both
 /// MPS and RCB are powers of two).
 ///
-/// Returns the byte length of every chunk in order.
+/// Returns the byte length of every chunk in order: the collected form of
+/// [`chunks_aligned`].
 pub fn split_aligned(addr: u64, total: usize, max_chunk: usize) -> Vec<usize> {
-    assert!(max_chunk.is_power_of_two(), "chunk size must be 2^n");
-    let mut out = Vec::new();
-    let mut addr = addr;
-    let mut left = total;
-    while left > 0 {
-        let to_boundary = max_chunk - (addr as usize & (max_chunk - 1));
-        let take = to_boundary.min(left);
-        out.push(take);
-        addr += take as u64;
-        left -= take;
-    }
-    out
+    chunks_aligned(addr, total, max_chunk).collect()
 }
+
+/// Iterate the chunk lengths of [`split_aligned`] without allocating.
+/// The link's per-TLP loops walk this once per transfer.
+pub fn chunks_aligned(addr: u64, total: usize, max_chunk: usize) -> ChunksAligned {
+    assert!(max_chunk.is_power_of_two(), "chunk size must be 2^n");
+    ChunksAligned {
+        addr,
+        left: total,
+        max_chunk,
+    }
+}
+
+/// Iterator returned by [`chunks_aligned`].
+#[derive(Clone, Debug)]
+pub struct ChunksAligned {
+    addr: u64,
+    left: usize,
+    max_chunk: usize,
+}
+
+impl Iterator for ChunksAligned {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        let to_boundary = self.max_chunk - (self.addr as usize & (self.max_chunk - 1));
+        let take = to_boundary.min(self.left);
+        self.addr += take as u64;
+        self.left -= take;
+        Some(take)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = chunk_count(self.addr, self.left, self.max_chunk);
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for ChunksAligned {}
 
 /// Number of TLPs a `total`-byte transfer at `addr` becomes under
 /// `max_chunk` splitting. Cheaper than materializing [`split_aligned`] when

@@ -8,7 +8,7 @@ use vf_pcie::caps::{VirtioCfgType, VirtioPciCap};
 use vf_pcie::config::{BarDef, ConfigSpaceBuilder};
 use vf_pcie::enumerate::{enumerate, MmioAllocator};
 use vf_pcie::link::{LinkConfig, PcieGen, PcieLink};
-use vf_pcie::tlp::{chunk_count, split_aligned};
+use vf_pcie::tlp::{chunk_count, chunks_aligned, split_aligned};
 use vf_sim::Time;
 
 proptest! {
@@ -33,6 +33,18 @@ proptest! {
             prop_assert_eq!(start_block, end_block);
             a += p as u64;
         }
+    }
+
+    #[test]
+    fn chunks_aligned_yields_split_aligned(
+        addr in 0u64..1_000_000,
+        total in 0usize..100_000,
+        chunk_pow in 0u32..13, // 1..4096
+    ) {
+        let chunk = 1usize << chunk_pow;
+        let iter = chunks_aligned(addr, total, chunk);
+        prop_assert_eq!(iter.len(), chunk_count(addr, total, chunk));
+        prop_assert_eq!(iter.collect::<Vec<_>>(), split_aligned(addr, total, chunk));
     }
 
     #[test]

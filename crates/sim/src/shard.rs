@@ -62,9 +62,11 @@
 //! assert_eq!(sim.world(1).log, vec![Time::from_us(2), Time::from_us(4)]);
 //! ```
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
 
 use crate::engine::{RunOutcome, Scheduler, Simulation, World};
+use crate::sweep::{resume_point, Panic};
 use crate::time::Time;
 
 /// A world that can run as one shard of a [`ShardedSimulation`]: like
@@ -452,24 +454,55 @@ where
 
     /// Run one window: every shard advances to `cap` (inclusive), in
     /// parallel when more than one worker thread is configured.
+    ///
+    /// A panic inside a shard reaches the caller with its original
+    /// message prefixed by `"shard {i} panicked: "`. Every worker is
+    /// joined first, and the lowest panicking shard index wins, so the
+    /// re-raised panic is the same at any thread count.
     fn run_window(&mut self, cap: Time, budget: u64) {
+        const WHAT: &str = "shard";
         let threads = self.threads.min(self.shards.len());
         if threads <= 1 {
-            for shard in &mut self.shards {
-                shard.run(cap, budget);
+            for (i, shard) in self.shards.iter_mut().enumerate() {
+                if let Err(p) = catch_unwind(AssertUnwindSafe(|| shard.run(cap, budget))) {
+                    resume_point(WHAT, i, p);
+                }
             }
             return;
         }
         let per = self.shards.len().div_ceil(threads);
-        thread::scope(|scope| {
-            for chunk in self.shards.chunks_mut(per) {
-                scope.spawn(move || {
-                    for shard in chunk {
-                        shard.run(cap, budget);
-                    }
-                });
-            }
+        // Each worker runs a contiguous run of shards and stops at its
+        // first panic, so the first panic over chunks in order is the
+        // lowest panicking shard.
+        let results: Vec<thread::Result<Option<(usize, Panic)>>> = thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .shards
+                .chunks_mut(per)
+                .enumerate()
+                .map(|(c, chunk)| {
+                    scope.spawn(move || {
+                        for (i, shard) in chunk.iter_mut().enumerate() {
+                            if let Err(p) =
+                                catch_unwind(AssertUnwindSafe(|| shard.run(cap, budget)))
+                            {
+                                return Some((c * per + i, p));
+                            }
+                        }
+                        None
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        let mut first_panic = None;
+        for worker in results {
+            // Shard panics are caught above; a panic here is in this function.
+            let panicked = worker.unwrap_or_else(|p| std::panic::resume_unwind(p));
+            first_panic = first_panic.or(panicked);
+        }
+        if let Some((i, p)) = first_panic {
+            resume_point(WHAT, i, p);
+        }
     }
 
     /// Run until every shard drains (with a generous livelock guard).
@@ -481,6 +514,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// K round-robin token rings over the shards: shard `i` forwards
     /// each token to shard `(i + 1) % n` one lookahead later, logging
@@ -648,6 +683,81 @@ mod tests {
         let mut sim = ShardedSimulation::new(vec![Cheat, Cheat], hop);
         sim.schedule_at(0, Time::from_us(1), ());
         sim.run_to_idle();
+    }
+
+    /// Regression: on more than one worker thread the contract panic
+    /// used to come back as the generic "a scoped thread panicked".
+    #[test]
+    fn lookahead_violation_names_the_shard_at_any_thread_count() {
+        struct Cheat;
+        impl ShardWorld for Cheat {
+            type Msg = ();
+            fn deliver(
+                &mut self,
+                now: Time,
+                _msg: (),
+                _sched: &mut Scheduler<()>,
+                net: &mut Outbox<'_, ()>,
+            ) {
+                net.send(1, now + Time::from_ns(1), ());
+            }
+        }
+        for threads in [1, 2] {
+            let mut sim =
+                ShardedSimulation::new(vec![Cheat, Cheat], Time::from_us(1)).with_threads(threads);
+            sim.schedule_at(0, Time::from_us(1), ());
+            let err = catch_unwind(AssertUnwindSafe(|| sim.run_to_idle()))
+                .expect_err("the send breaks the contract");
+            let msg = err.downcast_ref::<String>().expect("message payload");
+            assert!(
+                msg.starts_with("shard 0 panicked: ") && msg.contains("lookahead contract"),
+                "{threads} threads: {msg}"
+            );
+        }
+    }
+
+    /// Both shards panic on two worker threads, shard 1 first: shard 0
+    /// holds until shard 1 has panicked. Shard 0's panic is the one
+    /// re-raised.
+    #[test]
+    fn lowest_panicking_shard_wins_on_two_threads() {
+        struct Fail {
+            id: usize,
+            shard1_failed: Arc<AtomicBool>,
+        }
+        impl ShardWorld for Fail {
+            type Msg = ();
+            fn deliver(
+                &mut self,
+                _now: Time,
+                _msg: (),
+                _sched: &mut Scheduler<()>,
+                _net: &mut Outbox<'_, ()>,
+            ) {
+                if self.id == 0 {
+                    while !self.shard1_failed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    self.shard1_failed.store(true, Ordering::SeqCst);
+                }
+                panic!("world {} failed", self.id);
+            }
+        }
+        let flag = Arc::new(AtomicBool::new(false));
+        let worlds = (0..2)
+            .map(|id| Fail {
+                id,
+                shard1_failed: Arc::clone(&flag),
+            })
+            .collect();
+        let mut sim = ShardedSimulation::new(worlds, Time::from_us(1)).with_threads(2);
+        sim.schedule_at(0, Time::from_us(1), ());
+        sim.schedule_at(1, Time::from_us(1), ());
+        let err =
+            catch_unwind(AssertUnwindSafe(|| sim.run_to_idle())).expect_err("both shards panic");
+        let msg = err.downcast_ref::<String>().expect("message payload");
+        assert_eq!(msg, "shard 0 panicked: world 0 failed");
     }
 
     #[test]

@@ -7,8 +7,32 @@
 //! with scoped threads. Results come back **in input order** regardless of
 //! completion order, so reports are deterministic.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
+
+/// A panic payload caught with `catch_unwind`.
+pub(crate) type Panic = Box<dyn Any + Send>;
+
+/// Re-raise a caught panic on the calling thread, naming the unit of
+/// work (`what` number `idx`) that raised it. A message payload (what
+/// `panic!`, `assert!` and `expect` produce) keeps its text after a
+/// `"{what} {idx} panicked: "` prefix; any other payload resumes as is.
+pub(crate) fn resume_point(what: &str, idx: usize, payload: Panic) -> ! {
+    let msg = match payload.downcast_ref::<&str>() {
+        Some(s) => Some((*s).to_owned()),
+        None => payload.downcast_ref::<String>().cloned(),
+    };
+    match msg {
+        Some(m) => panic::resume_unwind(Box::new(format!("{what} {idx} panicked: {m}"))),
+        None => panic::resume_unwind(payload),
+    }
+}
+
+/// What one sweep worker hands back: the points it finished, and the
+/// point it stopped at with that point's panic, if any.
+type WorkerOut<O> = (Vec<(usize, O)>, Option<(usize, Panic)>);
 
 /// Run `f` over every item of `inputs` on up to `max_threads` worker
 /// threads, returning outputs in input order.
@@ -17,13 +41,17 @@ use std::thread;
 /// balances sweeps whose per-item cost varies by orders of magnitude (a
 /// 64 B run finishes long before a 1 KiB run).
 ///
-/// Panics in `f` are propagated to the caller.
+/// A panic in `f` reaches the caller with its original message prefixed
+/// by `"sweep point {i} panicked: "`. Every worker is joined first, and
+/// when several points panic the lowest input index wins, so the
+/// re-raised panic is the same at any thread count.
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, max_threads: usize, f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
+    const WHAT: &str = "sweep point";
     assert!(max_threads > 0);
     let n = inputs.len();
     if n == 0 {
@@ -31,44 +59,67 @@ where
     }
     let threads = max_threads.min(n);
     if threads == 1 {
-        return inputs.iter().map(&f).collect();
+        return inputs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                panic::catch_unwind(AssertUnwindSafe(|| f(x)))
+                    .unwrap_or_else(|p| resume_point(WHAT, i, p))
+            })
+            .collect();
     }
 
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    // Hand each worker a disjoint view of the output slots via raw parts is
-    // unnecessary: collect (index, value) pairs per worker and merge after
-    // the scope instead — simpler and still allocation-light.
-    let results: Vec<Vec<(usize, O)>> = thread::scope(|scope| {
+    // Set by the first worker to panic so the others stop claiming
+    // points. Every point already claimed still runs, and points are
+    // claimed in index order, so the lowest panicking index is always
+    // reached.
+    let stop = AtomicBool::new(false);
+    let results: Vec<thread::Result<WorkerOut<O>>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let next = &next;
+                let (next, stop) = (&next, &stop);
                 let inputs = &inputs;
                 let f = &f;
                 scope.spawn(move || {
                     let mut mine = Vec::new();
-                    loop {
+                    while !stop.load(Ordering::Relaxed) {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         if idx >= n {
                             break;
                         }
-                        mine.push((idx, f(&inputs[idx])));
+                        match panic::catch_unwind(AssertUnwindSafe(|| f(&inputs[idx]))) {
+                            Ok(out) => mine.push((idx, out)),
+                            Err(p) => {
+                                stop.store(true, Ordering::Relaxed);
+                                return (mine, Some((idx, p)));
+                            }
+                        }
                     }
-                    mine
+                    (mine, None)
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
 
-    for chunk in results {
-        for (idx, out) in chunk {
+    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
+    let mut first_panic: Option<(usize, Panic)> = None;
+    for worker in results {
+        // `f` panics are caught above; a panic here is in this function.
+        let (done, panicked) = worker.unwrap_or_else(|p| panic::resume_unwind(p));
+        for (idx, out) in done {
             debug_assert!(slots[idx].is_none());
             slots[idx] = Some(out);
         }
+        if let Some((idx, p)) = panicked {
+            if first_panic.as_ref().is_none_or(|(first, _)| idx < *first) {
+                first_panic = Some((idx, p));
+            }
+        }
+    }
+    if let Some((idx, p)) = first_panic {
+        resume_point(WHAT, idx, p);
     }
     slots
         .into_iter()
@@ -143,12 +194,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "sweep point 1 panicked: assertion `left != right` failed: boom")]
     fn worker_panic_propagates() {
         let _ = parallel_map(vec![0u32, 1, 2], 2, |&x| {
             assert_ne!(x, 1, "boom");
             x
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep point 3 panicked: point 3 is bad")]
+    fn single_thread_panic_names_the_point() {
+        let _ = parallel_map((0..8u32).collect(), 1, |&x| {
+            assert!(x != 3, "point {x} is bad");
+            x
+        });
+    }
+
+    /// Two points panic on two workers, the later one first: point 5
+    /// holds until point 13 has panicked. The lower index is still the
+    /// one re-raised, after both workers are joined.
+    #[test]
+    fn first_panic_in_input_order_wins_on_two_threads() {
+        let later_panicked = AtomicBool::new(false);
+        let err = std::panic::catch_unwind(|| {
+            parallel_map((0..64u32).collect(), 2, |&x| {
+                match x {
+                    5 => {
+                        while !later_panicked.load(Ordering::SeqCst) {
+                            thread::yield_now();
+                        }
+                    }
+                    13 => later_panicked.store(true, Ordering::SeqCst),
+                    _ => return x,
+                }
+                panic!("bad point {x}");
+            })
+        })
+        .expect_err("points panicked");
+        let msg = err.downcast_ref::<String>().expect("message payload");
+        assert_eq!(msg, "sweep point 5 panicked: bad point 5");
+    }
+
+    #[test]
+    fn non_message_payload_resumes_unchanged() {
+        let err = std::panic::catch_unwind(|| {
+            parallel_map(vec![0u32, 1], 2, |&x| {
+                if x == 1 {
+                    std::panic::panic_any(42u64);
+                }
+                x
+            })
+        })
+        .expect_err("point 1 panicked");
+        assert_eq!(err.downcast_ref::<u64>(), Some(&42));
     }
 
     /// All `VF_THREADS` scenarios in one test: the test harness runs

@@ -235,8 +235,7 @@ impl MemDisk {
                             ok = blk_status::IOERR;
                             break;
                         };
-                        let data = mem.read_vec(addr, len as usize);
-                        self.sectors[s..e].copy_from_slice(&data);
+                        mem.read(addr, &mut self.sectors[s..e]);
                         off = Some(e);
                     }
                     ok
@@ -344,6 +343,23 @@ mod tests {
         assert_eq!(mem.read_vec(0x400, 1), vec![blk_status::IOERR]);
         // Disk contents untouched.
         assert!(disk.sectors.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn out_of_range_write_errors_and_writes_nothing() {
+        // Two sectors of data starting at the last sector of a 4-sector
+        // disk: the segment straddles the end.
+        let mut mem = VecMemory::new(1 << 16);
+        let mut disk = MemDisk::new(4, false);
+        BlkRequest::write_header(&mut mem, 0, BlkReqType::Out, 3);
+        mem.write(0x100, &[0x5A; 2 * SECTOR_SIZE]);
+        let chain = chain_of(&[(0, 16, false), (0x100, 1024, false), (0x800, 1, true)]);
+        let req = BlkRequest::parse(&mem, &chain).unwrap();
+        let (status, written) = disk.execute(&mut mem, &req);
+        assert_eq!(status, blk_status::IOERR);
+        assert_eq!(written, 1, "only the status byte");
+        assert_eq!(mem.read_vec(0x800, 1), vec![blk_status::IOERR]);
+        assert!(disk.sectors.iter().all(|&b| b == 0), "disk untouched");
     }
 
     #[test]
