@@ -1018,6 +1018,26 @@ mod tests {
         );
     }
 
+    /// The metered delivery total is the engine's own count at run end,
+    /// not the value published at the last sample boundary.
+    #[test]
+    fn metered_event_total_reconciles_with_engine() {
+        let c = cfg(4, 600);
+        let (delivered, report) = crate::metered(vf_metrics::MetricsConfig::default(), || {
+            let mut sim = vf_sim::Simulation::new(MqPipelinedWorld::new(&c, 8));
+            for pair in 0..4 {
+                sim.schedule_at(Time::from_us(10), PipeEv::Pump(pair));
+            }
+            sim.run_expect_idle(Time::from_secs(3600), 500_000_000, "mq pipeline");
+            sim.events_delivered()
+        });
+        assert!(delivered > 0);
+        assert_eq!(
+            report.counter_total("sim.events.delivered"),
+            delivered as i64
+        );
+    }
+
     #[test]
     fn pipelined_mq_is_deterministic() {
         let a = run_mq(&cfg(2, 600), 8);

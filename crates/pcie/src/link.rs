@@ -218,6 +218,13 @@ impl WireDir {
 
     /// Reserve `dur` of wire no earlier than `earliest`; returns the
     /// instant the reservation ends (last symbol leaves the sender).
+    ///
+    /// In multi-tag mode `busy` is canonical: sorted, disjoint, and no
+    /// two intervals touch, so interval ends are sorted too. Intervals
+    /// ending at or before `earliest` can neither hold a `dur > 0`
+    /// reservation nor push its start, so a bisection skips them and
+    /// the first-fit scan starts at the first interval that can matter:
+    /// O(log n + k) for k intervals overlapping the candidate window.
     fn reserve(&mut self, multi_tag: bool, earliest: Time, dur: Time) -> Time {
         if !multi_tag {
             let start = self.watermark.max(earliest);
@@ -225,11 +232,13 @@ impl WireDir {
             self.watermark = end;
             return end;
         }
+        debug_assert!(dur > Time::ZERO, "zero-length TLP reservation");
+        let first = self.busy.partition_point(|&(_, e)| e <= earliest);
         let mut start = earliest;
         let mut idx = self.busy.len();
-        for (i, &(s, e)) in self.busy.iter().enumerate() {
+        for (i, &(s, e)) in self.busy.range(first..).enumerate() {
             if start + dur <= s {
-                idx = i;
+                idx = first + i;
                 break;
             }
             if e > start {
@@ -237,19 +246,19 @@ impl WireDir {
             }
         }
         let end = start + dur;
-        let mut s = start;
-        let mut e = end;
-        // Merge with touching neighbors to keep the list canonical.
-        if idx < self.busy.len() && self.busy[idx].0 == e {
-            e = self.busy[idx].1;
-            self.busy.remove(idx);
+        // Merge with touching neighbors in place to keep the list
+        // canonical; the deque shifts at most once.
+        let left = idx > 0 && self.busy[idx - 1].1 == start;
+        let right = idx < self.busy.len() && self.busy[idx].0 == end;
+        match (left, right) {
+            (true, true) => {
+                self.busy[idx - 1].1 = self.busy[idx].1;
+                self.busy.remove(idx);
+            }
+            (true, false) => self.busy[idx - 1].1 = end,
+            (false, true) => self.busy[idx].0 = start,
+            (false, false) => self.busy.insert(idx, (start, end)),
         }
-        if idx > 0 && self.busy[idx - 1].1 == s {
-            s = self.busy[idx - 1].0;
-            self.busy.remove(idx - 1);
-            idx -= 1;
-        }
-        self.busy.insert(idx, (s, e));
         if self.busy.len() > WIRE_INTERVAL_CAP {
             let (s0, _) = self.busy[0];
             let (_, e1) = self.busy[1];
@@ -970,5 +979,199 @@ mod tests {
             bw_fast > 4.0 * bw_slow,
             "gen3x8 {bw_fast} MB/s vs gen2x2 {bw_slow} MB/s"
         );
+    }
+
+    /// The pre-bisection multi-tag reservation, kept verbatim as the
+    /// differential oracle: a linear first-fit scan from the front of
+    /// the list, then remove-and-insert merging.
+    fn reserve_linear(wire: &mut WireDir, earliest: Time, dur: Time) -> Time {
+        let mut start = earliest;
+        let mut idx = wire.busy.len();
+        for (i, &(s, e)) in wire.busy.iter().enumerate() {
+            if start + dur <= s {
+                idx = i;
+                break;
+            }
+            if e > start {
+                start = e;
+            }
+        }
+        let end = start + dur;
+        let mut s = start;
+        let mut e = end;
+        // Merge with touching neighbors to keep the list canonical.
+        if idx < wire.busy.len() && wire.busy[idx].0 == e {
+            e = wire.busy[idx].1;
+            wire.busy.remove(idx);
+        }
+        if idx > 0 && wire.busy[idx - 1].1 == s {
+            s = wire.busy[idx - 1].0;
+            wire.busy.remove(idx - 1);
+            idx -= 1;
+        }
+        wire.busy.insert(idx, (s, e));
+        if wire.busy.len() > WIRE_INTERVAL_CAP {
+            let (s0, _) = wire.busy[0];
+            let (_, e1) = wire.busy[1];
+            wire.busy.pop_front();
+            wire.busy[0] = (s0, e1);
+        }
+        end
+    }
+
+    /// Sorted, disjoint, non-empty, and no two intervals touch.
+    fn assert_canonical(wire: &WireDir) {
+        for &(s, e) in &wire.busy {
+            assert!(s < e, "empty interval ({s}, {e})");
+        }
+        for (i, w) in wire.busy.iter().zip(wire.busy.iter().skip(1)).enumerate() {
+            let (&(_, e0), &(s1, _)) = w;
+            assert!(e0 < s1, "intervals {i} and {} overlap or touch", i + 1);
+        }
+    }
+
+    fn ns(n: u64) -> Time {
+        Time::from_ns(n)
+    }
+
+    fn busy(wire: &WireDir) -> Vec<(Time, Time)> {
+        wire.busy.iter().copied().collect()
+    }
+
+    /// Multi-tag wire holding `[0, 100)` and `[150, 250)` ns.
+    fn two_intervals() -> WireDir {
+        let mut wire = WireDir::default();
+        wire.reserve(true, ns(150), ns(100));
+        wire.reserve(true, ns(0), ns(100));
+        assert_eq!(busy(&wire), [(ns(0), ns(100)), (ns(150), ns(250))]);
+        wire
+    }
+
+    #[test]
+    fn wire_backfills_gap_before_future_reservation() {
+        let mut wire = WireDir::default();
+        // A DMA chain books wire far ahead of now...
+        assert_eq!(wire.reserve(true, ns(1_000), ns(100)), ns(1_100));
+        // ...and a later call earlier in simulated time takes the idle
+        // wire in front of it instead of queueing behind it.
+        assert_eq!(wire.reserve(true, ns(0), ns(100)), ns(100));
+        assert_eq!(busy(&wire), [(ns(0), ns(100)), (ns(1_000), ns(1_100))]);
+    }
+
+    #[test]
+    fn wire_skips_gap_too_small() {
+        let mut wire = two_intervals();
+        // The 50 ns gap at [100, 150) cannot hold 60 ns: the TLP goes
+        // after the second interval and extends it.
+        assert_eq!(wire.reserve(true, ns(100), ns(60)), ns(310));
+        assert_eq!(busy(&wire), [(ns(0), ns(100)), (ns(150), ns(310))]);
+    }
+
+    #[test]
+    fn wire_exact_fit_merges_both_neighbours() {
+        let mut wire = two_intervals();
+        assert_eq!(wire.reserve(true, ns(20), ns(50)), ns(150));
+        assert_eq!(busy(&wire), [(ns(0), ns(250))]);
+    }
+
+    #[test]
+    fn wire_prune_drops_only_finished_intervals() {
+        let mut wire = two_intervals();
+        wire.prune(ns(100));
+        assert_eq!(busy(&wire), [(ns(150), ns(250))], "end == epoch is history");
+        wire.prune(ns(249));
+        assert_eq!(busy(&wire), [(ns(150), ns(250))], "still on the wire");
+        wire.prune(ns(250));
+        assert!(wire.busy.is_empty());
+    }
+
+    #[test]
+    fn every_tlp_occupies_the_wire() {
+        // The bisection in `WireDir::reserve` relies on `dur > 0`: every
+        // TLP carries a header, so even a zero-payload one has wire time
+        // at every generation and width.
+        let kinds = [
+            TlpKind::MemWrite,
+            TlpKind::MemRead,
+            TlpKind::CplD,
+            TlpKind::Cpl,
+            TlpKind::Msg,
+        ];
+        for kind in kinds {
+            assert!(wire_bytes(kind, 0) > 0, "{kind:?}");
+            for gen in [PcieGen::Gen1, PcieGen::Gen2, PcieGen::Gen3] {
+                for lanes in [1, 2, 4, 8, 16] {
+                    let ps = LinkConfig::with(gen, lanes).ps_per_byte();
+                    assert!(
+                        wire_bytes(kind, 0) as u64 * ps > 0,
+                        "{kind:?} {gen:?} x{lanes}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wire_cap_backstop_matches_reference() {
+        let mut fast = WireDir::default();
+        let mut slow = WireDir::default();
+        // Non-touching 1 ns slots every 2 ns: one interval per TLP, so
+        // the list crosses the cap and the backstop coalesces the front.
+        for i in 0..WIRE_INTERVAL_CAP as u64 + 16 {
+            let end = fast.reserve(true, ns(2 * i), ns(1));
+            assert_eq!(end, reserve_linear(&mut slow, ns(2 * i), ns(1)));
+            assert_eq!(fast.busy, slow.busy, "after slot {i}");
+            assert!(fast.busy.len() <= WIRE_INTERVAL_CAP);
+        }
+        assert_canonical(&fast);
+        // The coalesced front gaps are forgotten as busy; later gaps
+        // still backfill.
+        for earliest in [0, 1, 3, 5_000, 2 * WIRE_INTERVAL_CAP as u64] {
+            let end = fast.reserve(true, ns(earliest), ns(1));
+            assert_eq!(end, reserve_linear(&mut slow, ns(earliest), ns(1)));
+            assert_eq!(fast.busy, slow.busy, "after backfill at {earliest} ns");
+            assert_canonical(&fast);
+        }
+    }
+
+    /// One step of a wire script: `(op, offset, len)`. Ops below 8
+    /// reserve `len` ps at `epoch + offset`; the rest advance the epoch
+    /// by `offset / 4` and prune.
+    fn wire_script() -> impl proptest::prelude::Strategy<Value = Vec<(u8, u64, u64)>> {
+        use proptest::prelude::*;
+        // Fine offsets and lengths make touching neighbours and exact
+        // fits common; coarse ones leave reservations far ahead of the
+        // epoch, as a DMA chain does.
+        let step = prop_oneof![
+            (0u8..10, 0u64..40, 1u64..8),
+            (0u8..10, 0u64..4_000, 1u64..300),
+        ];
+        proptest::collection::vec(step, 1..400)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bisected_reserve_matches_linear_scan(script in wire_script()) {
+            let mut fast = WireDir::default();
+            let mut slow = WireDir::default();
+            let mut epoch = Time::ZERO;
+            for (step, &(op, offset, len)) in script.iter().enumerate() {
+                if op < 8 {
+                    let earliest = epoch + Time::from_ps(offset);
+                    let dur = Time::from_ps(len);
+                    let got = fast.reserve(true, earliest, dur);
+                    let want = reserve_linear(&mut slow, earliest, dur);
+                    proptest::prop_assert_eq!(got, want, "end at step {}", step);
+                } else {
+                    epoch += Time::from_ps(offset / 4);
+                    fast.prune(epoch);
+                    slow.prune(epoch);
+                }
+                proptest::prop_assert_eq!(&fast.busy, &slow.busy, "list at step {}", step);
+                assert_canonical(&fast);
+            }
+        }
     }
 }

@@ -215,8 +215,16 @@ impl<W: World> Simulation<W> {
     }
 
     /// Run until the queue drains, `horizon` is passed, or `max_events`
-    /// deliveries have been made.
+    /// deliveries have been made. Every return publishes the engine's
+    /// delivery and cascade totals to the ambient metrics session, so a
+    /// report never shows totals from the last sample boundary.
     pub fn run(&mut self, horizon: Time, max_events: u64) -> RunOutcome {
+        let outcome = self.run_until(horizon, max_events);
+        self.publish_totals();
+        outcome
+    }
+
+    fn run_until(&mut self, horizon: Time, max_events: u64) -> RunOutcome {
         // Saturate: `run_to_idle` passes a budget of `u64::MAX / 2`, which
         // would overflow here once enough events have been delivered across
         // repeated runs of a long-lived simulation.
@@ -275,6 +283,12 @@ impl<W: World> Simulation<W> {
         vf_metrics::gauge_set("sim.wheel.slab", 0, self.queue.slab_len() as i64);
         vf_metrics::gauge_set("sim.wheel.freelist", 0, self.queue.freelist_len() as i64);
         vf_metrics::gauge_set("sim.wheel.overflow", 0, self.queue.overflow_len() as i64);
+        self.publish_totals();
+    }
+
+    /// Publish the cascade and delivery totals (no-ops with no session
+    /// installed).
+    fn publish_totals(&self) {
         vf_metrics::counter_set_total("sim.wheel.cascades", 0, self.queue.cascades());
         vf_metrics::counter_set_total("sim.events.delivered", 0, self.delivered);
     }
