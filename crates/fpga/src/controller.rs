@@ -33,10 +33,11 @@ use vf_virtio::console::VirtioConsoleConfig;
 use vf_virtio::net::{
     internet_checksum, VirtioNetConfig, VirtioNetHdr, HDR_F_DATA_VALID, HDR_F_NEEDS_CSUM,
 };
-use vf_virtio::packed::{PackedDesc, PackedDeviceQueue};
 use vf_virtio::pci::CfgEvent;
 use vf_virtio::rng::EntropySource;
-use vf_virtio::{feature, net, CommonCfg, DeviceQueue, DeviceType, GuestMemory, IsrStatus};
+use vf_virtio::{
+    feature, net, Chain, CommonCfg, DeviceRing, DeviceType, GuestMemory, IsrStatus, RingChain,
+};
 
 use crate::counters::RoundTripCounters;
 use crate::mem::{Bram, CardStore};
@@ -166,8 +167,7 @@ enum CtrlAction {
     },
 }
 
-/// Decode a `{class, command, data...}` control command (shared by the
-/// split and packed ctrl-vq walks). Returns the ack byte and the state
+/// Decode a `{class, command, data...}` control command. Returns the ack byte and the state
 /// change to apply, if the command was well-formed.
 fn decode_ctrl_command(cmd: &[u8], max_pairs: u16) -> (u8, Option<CtrlAction>) {
     match (cmd.first(), cmd.get(1)) {
@@ -204,6 +204,40 @@ fn decode_ctrl_command(cmd: &[u8], max_pairs: u16) -> (u8, Option<CtrlAction>) {
             (net::ctrl::OK, Some(CtrlAction::SetRss { table, key }))
         }
         _ => (net::ctrl::ERR, None),
+    }
+}
+
+/// A staged TX frame and the device-type header split off it.
+type StagedFrame = (Vec<u8>, Option<VirtioNetHdr>);
+
+/// Copy a chain's device-readable buffers out of host memory, merging
+/// physically adjacent buffers into single DMA bursts (virtio-net lays
+/// the header immediately before the frame). Returns the bytes and the
+/// bursts to time.
+fn gather(mem: &HostMemory, chain: &Chain) -> (Vec<u8>, Vec<(u64, usize)>) {
+    let mut data = Vec::with_capacity(chain.readable_len() as usize);
+    let mut bursts: Vec<(u64, usize)> = Vec::new();
+    for buf in chain.bufs.iter().filter(|b| !b.writable) {
+        data.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
+        match bursts.last_mut() {
+            Some((start, len)) if *start + *len as u64 == buf.addr => {
+                *len += buf.len as usize;
+            }
+            _ => bursts.push((buf.addr, buf.len as usize)),
+        }
+    }
+    (data, bursts)
+}
+
+/// Split the `hdr_len`-byte device-type header off staged bytes.
+fn split_hdr(hdr_len: usize, data: Vec<u8>) -> StagedFrame {
+    if hdr_len > 0 && data.len() >= hdr_len {
+        (
+            data[hdr_len..].to_vec(),
+            Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
+        )
+    } else {
+        (data, None)
     }
 }
 
@@ -312,12 +346,9 @@ pub struct VirtioFpgaDevice {
     pub msix: MsixTable,
     /// Device persona (net/console/block).
     pub persona: Persona,
-    /// Device-side queues, created as the driver enables them.
-    queues: Vec<Option<DeviceQueue>>,
-    /// Packed-ring device-side queues: a queue lives in exactly one of
-    /// `queues`/`packed_queues`, decided by the negotiated `RING_PACKED`
-    /// bit when the driver enables it (E17).
-    packed_queues: Vec<Option<PackedDeviceQueue>>,
+    /// Device-side rings, created as the driver enables them — split or
+    /// packed as the negotiated `RING_PACKED` bit says (E17).
+    rings: Vec<Option<DeviceRing>>,
     /// Attached user logic.
     pub logic: Box<dyn UserLogic>,
     /// Frame staging memory (BRAM by default; DDR for the E14 ablation).
@@ -423,8 +454,7 @@ impl VirtioFpgaDevice {
             isr: IsrStatus::default(),
             msix: MsixTable::new(vectors as usize),
             persona,
-            queues: queue_sizes.iter().map(|_| None).collect(),
-            packed_queues: queue_sizes.iter().map(|_| None).collect(),
+            rings: queue_sizes.iter().map(|_| None).collect(),
             logic,
             staging: CardStore::Bram(Bram::new(256 * 1024)),
             timing: ControllerTiming::default(),
@@ -450,19 +480,6 @@ impl VirtioFpgaDevice {
     /// True once the driver completed initialization.
     pub fn is_live(&self) -> bool {
         self.common.negotiation.is_live()
-    }
-
-    /// The device-side queue `n` (panics if not yet enabled).
-    pub fn queue(&mut self, n: u16) -> &mut DeviceQueue {
-        self.queues[n as usize].as_mut().expect("queue not enabled")
-    }
-
-    /// The packed device-side queue `n` (panics if not enabled as
-    /// packed).
-    pub fn packed_queue(&mut self, n: u16) -> &mut PackedDeviceQueue {
-        self.packed_queues[n as usize]
-            .as_mut()
-            .expect("packed queue not enabled")
     }
 
     /// BAR0 MMIO read.
@@ -494,34 +511,21 @@ impl VirtioFpgaDevice {
             o if o < bar0::NOTIFY => {
                 match self.common.write(o - bar0::COMMON, len, val) {
                     Ok(Some(CfgEvent::QueueEnabled(n))) => {
-                        let negotiated = self.common.negotiation.negotiated();
-                        let regs = self.common.queue(n);
-                        if negotiated & feature::RING_PACKED != 0 {
-                            let mut q = PackedDeviceQueue::new(regs.desc, regs.size);
-                            q.set_metrics_index(n as u32);
-                            self.packed_queues[n as usize] = Some(q);
-                            self.queues[n as usize] = None;
-                        } else {
-                            let event_idx = negotiated & feature::RING_EVENT_IDX != 0;
-                            let indirect = negotiated & feature::RING_INDIRECT_DESC != 0;
-                            let mut q = DeviceQueue::new(regs.layout(), event_idx, indirect);
-                            // Odd queues are the host-driven transmitqs
-                            // in this controller's net/console personas
-                            // (`tx_queue_of_pair`); even rings are
-                            // pre-posted (RX, control) and must not arm
-                            // the stall watchdog while idle.
-                            q.set_metrics_index(n as u32, n % 2 == 1);
-                            self.queues[n as usize] = Some(q);
-                            self.packed_queues[n as usize] = None;
-                        }
+                        // Odd queues are the host-driven transmitqs in
+                        // this controller's net/console personas
+                        // (`tx_queue_of_pair`); even rings are pre-posted
+                        // (RX, control).
+                        self.rings[n as usize] = Some(DeviceRing::enable(
+                            self.common.queue(n),
+                            self.common.negotiation.negotiated(),
+                            n,
+                            n % 2 == 1,
+                        ));
                         Some(MmioEvent::QueueEnabled(n))
                     }
                     Ok(Some(CfgEvent::Reset)) => {
-                        for q in &mut self.queues {
-                            *q = None;
-                        }
-                        for q in &mut self.packed_queues {
-                            *q = None;
+                        for ring in &mut self.rings {
+                            *ring = None;
                         }
                         Some(MmioEvent::Reset)
                     }
@@ -581,9 +585,58 @@ impl VirtioFpgaDevice {
         self.msix.enabled = true;
     }
 
-    /// Process a doorbell on the TX queue (net/console): walk new avail
-    /// entries, fetch each chain's data via timed DMA reads, stage in
-    /// BRAM, complete the used entries, then run user logic per frame.
+    /// The ring of queue `n` (panics if the driver never enabled it).
+    fn ring(&mut self, n: u16) -> &mut DeviceRing {
+        self.rings[n as usize].as_mut().expect("queue not enabled")
+    }
+
+    /// Complete `chain` on queue `n` with `written` bytes: time its used
+    /// write after `t` and fire the queue's vector if the ring asks for
+    /// it. Returns when the used write is visible and when the MSI-X
+    /// message, if one fired, reached the host.
+    fn complete_chain(
+        &mut self,
+        n: u16,
+        chain: &RingChain,
+        written: u32,
+        t: Time,
+        mem: &mut HostMemory,
+        link: &mut PcieLink,
+    ) -> (Time, Option<Time>) {
+        let ring = self.ring(n);
+        let used = ring.complete(mem, chain, written);
+        let mut t = link.dma_write(t, used.entry.addr, used.entry.len);
+        if let Some(index) = used.index {
+            t = link.dma_write(t, index.addr, index.len);
+        }
+        let mut irq_at = None;
+        if ring.should_interrupt(mem, &used) {
+            if let Some(_msg) = self.msix.fire(n as usize) {
+                irq_at = Some(link.msix_write(t));
+                self.stats.irqs_sent += 1;
+            }
+        }
+        (t, irq_at)
+    }
+
+    /// Stage `data` in card memory; returns when the store is done.
+    fn stage(&mut self, t: Time, data: &[u8]) -> Time {
+        CardMemory::write(&mut self.staging, 0, data);
+        t + self.staging.access_time(data.len())
+    }
+
+    /// Process a doorbell on the TX queue (net/console): walk the newly
+    /// published chains, fetch each chain's data via timed DMA reads,
+    /// stage it in BRAM, complete the used entries, then run user logic
+    /// per frame. A chain the device cannot resolve stops the pass.
+    ///
+    /// A split ring costs one avail burst per pass plus one descriptor
+    /// fetch per chain. A packed ring (E17) costs one 64-byte descriptor
+    /// burst per chain — the availability flag rides inside the
+    /// descriptor — and completes with one 16-byte descriptor write.
+    /// When the tag's non-posted window admits more than one read (E20)
+    /// the pipelined walker runs; the serial walk is kept byte-for-byte
+    /// so depth-1 runs stay bit-identical to the determinism goldens.
     ///
     /// The `h2c` counter runs from doorbell arrival to the last used
     /// write; the `processing` counter covers user logic (deducted per
@@ -596,26 +649,8 @@ impl VirtioFpgaDevice {
         link: &mut PcieLink,
     ) -> TxOutcome {
         link.select_dma_context(tx_queue as usize);
-        if self.packed_queues[tx_queue as usize].is_some() {
-            return self.process_tx_notify_packed(arrival, tx_queue, mem, link);
-        }
-        if link.cfg.max_outstanding_np > 1 {
-            // E20: the tag's non-posted window admits concurrent reads —
-            // take the pipelined walker. The serial path below is kept
-            // byte-for-byte so depth-1 runs stay bit-identical to the
-            // determinism goldens.
-            return self.process_tx_notify_split_pipelined(arrival, tx_queue, mem, link);
-        }
-        let hdr_len = self.persona.hdr_len();
         let csum_feature = matches!(self.persona, Persona::Net { .. })
             && self.features() & net::feature::CSUM != 0;
-        let timing = self.timing;
-        let q = self.queues[tx_queue as usize]
-            .as_mut()
-            .expect("TX queue not enabled");
-        let layout = *q.layout();
-
-        let mut t = arrival + timing.notify_decode;
         self.counters.h2c.start(arrival);
         vf_trace::instant(
             vf_trace::Layer::Device,
@@ -624,147 +659,96 @@ impl VirtioFpgaDevice {
             tx_queue as u64,
             0,
         );
-
-        // Read the driver's avail index and the new ring entries in one
-        // burst — idx and entries are contiguous, so the RTL fetches one
-        // beat-aligned block instead of issuing per-field reads.
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
-        vf_trace::instant(vf_trace::Layer::Device, "desc_read_split", t, 0, 0);
         let mut outcome = TxOutcome::default();
-        let mut staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)> = Vec::new();
-
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            // Descriptor chain: the driver allocates chains contiguously,
-            // so the controller fetches the whole chain in one read
-            // (using the table location plus the chain-length hint).
-            let (chain, fetches) = q
-                .resolve_at(mem, pos)
-                .expect("driver published a corrupt chain");
-            t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
-            self.stats.desc_reads += 1;
-            vf_trace::instant(
-                vf_trace::Layer::Device,
-                "desc_read_split",
-                t,
-                fetches as u64,
-                0,
-            );
-            t += timing.per_desc * fetches as u64;
-            // Payload DMA: read the readable buffers into BRAM, merging
-            // physically adjacent buffers into single bursts (virtio-net
-            // lays the header immediately before the frame).
-            let mut data = Vec::with_capacity(chain.readable_len() as usize);
-            let mut bursts: Vec<(u64, usize)> = Vec::new();
-            for buf in chain.bufs.iter().filter(|b| !b.writable) {
-                data.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
-                match bursts.last_mut() {
-                    Some((start, len)) if *start + *len as u64 == buf.addr => {
-                        *len += buf.len as usize;
-                    }
-                    _ => bursts.push((buf.addr, buf.len as usize)),
-                }
-            }
-            for (addr, len) in bursts {
-                t = link.dma_read(t, addr, len);
-            }
-            CardMemory::write(&mut self.staging, 0, &data);
-            t += self.staging.access_time(data.len());
-            // Complete the used entry (8-byte entry + 2-byte idx, posted;
-            // avail_event update rides along under EVENT_IDX).
-            q.advance();
-            let old_used = q.complete(mem, chain.head, 0);
-            t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-            t = link.dma_write(t, layout.used_idx_addr(), 2);
-            if q.should_interrupt(mem, old_used) {
-                // TX completion interrupt (normally suppressed by the
-                // driver's parked used_event).
-                if let Some((_addr, _data)) = self.msix.fire(tx_queue as usize) {
-                    outcome.tx_irq_at = Some(link.msix_write(t));
-                    self.stats.irqs_sent += 1;
-                }
-            }
-            outcome.chains += 1;
-            self.stats.tx_chains += 1;
-
-            // Split off the device-type header.
-            let (hdr, frame) = if hdr_len > 0 && data.len() >= hdr_len {
-                (
-                    Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
-                    data[hdr_len..].to_vec(),
-                )
-            } else {
-                (None, data)
-            };
-            staged.push((frame, hdr));
-        }
+        let t = arrival + self.timing.notify_decode;
+        let (t, staged) = if link.cfg.max_outstanding_np > 1 {
+            self.tx_walk_pipelined(t, tx_queue, mem, link, &mut outcome)
+        } else {
+            self.tx_walk_serial(t, tx_queue, mem, link, &mut outcome)
+        };
         self.counters.h2c.stop(t);
 
-        t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
+        let t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
         outcome.done_at = t;
         outcome
     }
 
-    /// Pipelined split-ring TX walker (E20): taken when the link grants
-    /// the DMA tag more than one outstanding non-posted read. Instead of
-    /// sitting out a full descriptor-fetch round trip before touching a
-    /// chain's payload, the walker keeps a prefetch cursor up to
-    /// `max_outstanding_np` chains ahead of the completion cursor — the
-    /// descriptor burst of chain *k+1* is on the wire while chain *k*'s
-    /// payload is still streaming back, and every read goes through the
-    /// tag's shared [`PcieLink::dma_read_np`] window so the link model
-    /// enforces the depth. Used-ring writes stay strictly ordered posted
-    /// writes: reordering those would let the driver observe a used
-    /// index covering an entry that has not landed (see DESIGN.md).
-    fn process_tx_notify_split_pipelined(
+    /// Serial TX walk: each chain's descriptor read, payload DMA and
+    /// used write complete before the next chain starts.
+    fn tx_walk_serial(
         &mut self,
-        arrival: Time,
+        mut t: Time,
         tx_queue: u16,
         mem: &mut HostMemory,
         link: &mut PcieLink,
-    ) -> TxOutcome {
+        outcome: &mut TxOutcome,
+    ) -> (Time, Vec<StagedFrame>) {
         let hdr_len = self.persona.hdr_len();
-        let csum_feature = matches!(self.persona, Persona::Net { .. })
-            && self.features() & net::feature::CSUM != 0;
+        let per_desc = self.timing.per_desc;
+        let ring = self.ring(tx_queue);
+        let name = ring.desc_read_name();
+        if let Some(read) = ring.begin_pass(mem) {
+            t = link.dma_read(t, read.addr, read.len);
+            self.stats.desc_reads += 1;
+            vf_trace::instant(vf_trace::Layer::Device, name, t, 0, 0);
+        }
+        let mut staged = Vec::new();
+        while let Ok(Some((chain, read))) = self.ring(tx_queue).next_chain(mem) {
+            // The driver allocates chains contiguously, so one read
+            // fetches the whole chain.
+            t = link.dma_read(t, read.addr, read.len);
+            self.stats.desc_reads += 1;
+            vf_trace::instant(vf_trace::Layer::Device, name, t, chain.descs as u64, 0);
+            t += per_desc * chain.descs as u64;
+            let (data, bursts) = gather(mem, &chain.chain);
+            for (addr, len) in bursts {
+                t = link.dma_read(t, addr, len);
+            }
+            t = self.stage(t, &data);
+            // The TX completion interrupt is normally suppressed.
+            let (done, irq_at) = self.complete_chain(tx_queue, &chain, 0, t, mem, link);
+            t = done;
+            if irq_at.is_some() {
+                outcome.tx_irq_at = irq_at;
+            }
+            outcome.chains += 1;
+            self.stats.tx_chains += 1;
+            staged.push(split_hdr(hdr_len, data));
+        }
+        (t, staged)
+    }
+
+    /// Pipelined TX walk (E20): instead of sitting out a full
+    /// descriptor-fetch round trip before touching a chain's payload,
+    /// the walker keeps a prefetch cursor up to `max_outstanding_np`
+    /// chains ahead of the completion cursor — the descriptor read of
+    /// chain *k+1* is on the wire while chain *k*'s payload is still
+    /// streaming back, and every read goes through the tag's shared
+    /// [`PcieLink::dma_read_np`] window so the link model enforces the
+    /// depth. Used writes stay strictly ordered posted writes:
+    /// reordering those would let the driver observe a used index
+    /// covering an entry that has not landed (see DESIGN.md).
+    fn tx_walk_pipelined(
+        &mut self,
+        mut t: Time,
+        tx_queue: u16,
+        mem: &mut HostMemory,
+        link: &mut PcieLink,
+        outcome: &mut TxOutcome,
+    ) -> (Time, Vec<StagedFrame>) {
+        let hdr_len = self.persona.hdr_len();
         let timing = self.timing;
-        let q = self.queues[tx_queue as usize]
-            .as_mut()
-            .expect("TX queue not enabled");
-        let layout = *q.layout();
-
-        let mut t = arrival + timing.notify_decode;
-        self.counters.h2c.start(arrival);
-        vf_trace::instant(
-            vf_trace::Layer::Device,
-            "notify",
-            arrival,
-            tx_queue as u64,
-            0,
-        );
-
-        // Avail index + new ring entries in one burst, as on the serial
-        // path — this read also names every chain the pipeline covers.
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read_np(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
-        vf_trace::instant(vf_trace::Layer::Device, "desc_read_split", t, 0, 0);
-        let mut outcome = TxOutcome::default();
-        let mut staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)> = Vec::new();
-
-        // Resolve the published chains up front (the avail entries just
-        // fetched name them all); DMA timing happens below.
-        let mut chains = Vec::with_capacity(pending);
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            let (chain, fetches) = q
-                .resolve_at(mem, pos)
-                .expect("driver published a corrupt chain");
-            q.advance();
-            chains.push((chain, fetches));
+        let ring = self.ring(tx_queue);
+        let name = ring.desc_read_name();
+        if let Some(read) = ring.begin_pass(mem) {
+            t = link.dma_read_np(t, read.addr, read.len);
+            self.stats.desc_reads += 1;
+            vf_trace::instant(vf_trace::Layer::Device, name, t, 0, 0);
+        }
+        // Take every published chain up front; DMA timing happens below.
+        let mut chains = Vec::new();
+        while let Ok(Some(chain)) = self.ring(tx_queue).next_chain(mem) {
+            chains.push(chain);
         }
 
         let depth = link.cfg.max_outstanding_np;
@@ -773,20 +757,20 @@ impl VirtioFpgaDevice {
         let mut prefetched = 0usize;
         let mut issue_t = t;
         let mut last_write = t;
+        let mut staged = Vec::with_capacity(n);
         for k in 0..n {
-            // Prefetch descriptor bursts up to `depth` chains ahead of
+            // Prefetch descriptor reads up to `depth` chains ahead of
             // the chain being completed.
             while prefetched < n && prefetched < k + depth {
-                let (chain, fetches) = &chains[prefetched];
+                let (chain, read) = &chains[prefetched];
                 issue_t += timing.fsm_step;
-                desc_done[prefetched] =
-                    link.dma_read_np(issue_t, layout.desc_addr(chain.head), 16 * fetches);
+                desc_done[prefetched] = link.dma_read_np(issue_t, read.addr, read.len);
                 self.stats.desc_reads += 1;
                 vf_trace::instant(
                     vf_trace::Layer::Device,
-                    "desc_read_split",
+                    name,
                     desc_done[prefetched],
-                    *fetches as u64,
+                    chain.descs as u64,
                     0,
                 );
                 prefetched += 1;
@@ -796,54 +780,26 @@ impl VirtioFpgaDevice {
                 vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, d as i64);
                 vf_metrics::hist_record("fpga.walker.depth_hist", tx_queue as u32, d);
             }
-            let (chain, fetches) = &chains[k];
+            let (chain, _) = &chains[k];
             // Payload DMA starts once this chain's descriptors are
             // parsed and the (single) payload datapath is free.
-            let mut ct = (desc_done[k] + timing.per_desc * *fetches as u64).max(t);
-            let mut data = Vec::with_capacity(chain.readable_len() as usize);
-            let mut bursts: Vec<(u64, usize)> = Vec::new();
-            for buf in chain.bufs.iter().filter(|b| !b.writable) {
-                data.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
-                match bursts.last_mut() {
-                    Some((start, len)) if *start + *len as u64 == buf.addr => {
-                        *len += buf.len as usize;
-                    }
-                    _ => bursts.push((buf.addr, buf.len as usize)),
-                }
-            }
+            let mut ct = (desc_done[k] + timing.per_desc * chain.descs as u64).max(t);
+            let (data, bursts) = gather(mem, &chain.chain);
             for (addr, len) in bursts {
                 ct = link.dma_read_np(ct, addr, len);
             }
-            CardMemory::write(&mut self.staging, 0, &data);
-            ct += self.staging.access_time(data.len());
-            // Used entry + index: posted, fire-and-forget — the walker
-            // moves on while they drain, but they stay ordered against
-            // each other on the tag.
-            let q = self.queues[tx_queue as usize]
-                .as_mut()
-                .expect("TX queue not enabled");
-            let old_used = q.complete(mem, chain.head, 0);
-            let mut w = link.dma_write(ct, layout.used_ring_addr(old_used % layout.size), 8);
-            w = link.dma_write(w, layout.used_idx_addr(), 2);
-            if q.should_interrupt(mem, old_used) {
-                if let Some((_addr, _data)) = self.msix.fire(tx_queue as usize) {
-                    outcome.tx_irq_at = Some(link.msix_write(w));
-                    self.stats.irqs_sent += 1;
-                }
+            ct = self.stage(ct, &data);
+            // The used write is posted, fire-and-forget: the walker
+            // moves on while it drains, ordered against the others on
+            // the tag.
+            let (w, irq_at) = self.complete_chain(tx_queue, chain, 0, ct, mem, link);
+            if irq_at.is_some() {
+                outcome.tx_irq_at = irq_at;
             }
             last_write = last_write.max(w);
             outcome.chains += 1;
             self.stats.tx_chains += 1;
-
-            let (hdr, frame) = if hdr_len > 0 && data.len() >= hdr_len {
-                (
-                    Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
-                    data[hdr_len..].to_vec(),
-                )
-            } else {
-                (None, data)
-            };
-            staged.push((frame, hdr));
+            staged.push(split_hdr(hdr_len, data));
             t = ct;
         }
         // The notify is done when the last used write is visible.
@@ -855,21 +811,16 @@ impl VirtioFpgaDevice {
         if vf_metrics::is_enabled() && n > 0 {
             vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, 0);
         }
-        self.counters.h2c.stop(t);
-
-        t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
-        outcome.done_at = t;
-        outcome
+        (t, staged)
     }
 
     /// User logic pass over staged TX frames (measured separately by the
-    /// `processing` counter and deducted by the harness per §IV-B).
-    /// Shared by the split- and packed-ring TX paths — ring layout is
-    /// invisible past the staging BRAM.
+    /// `processing` counter and deducted by the harness per §IV-B). Ring
+    /// layout is invisible past the staging BRAM.
     fn user_logic_pass(
         &mut self,
         mut t: Time,
-        staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)>,
+        staged: Vec<StagedFrame>,
         csum_feature: bool,
         outcome: &mut TxOutcome,
     ) -> Time {
@@ -915,237 +866,16 @@ impl VirtioFpgaDevice {
         t
     }
 
-    /// Packed-ring TX path (E17): the availability flag rides inside the
-    /// descriptor itself, so the controller issues **one** descriptor
-    /// burst per chain — a 64-byte read covers the whole short chain plus
-    /// the look-ahead slot whose stale AVAIL phase terminates the walk —
-    /// against the split ring's avail-index read *and* table fetch. One
-    /// 16-byte used-descriptor write completes a chain (split: 8-byte
-    /// used entry + 2-byte index). The packed net front end runs without
-    /// `RING_EVENT_IDX` and leaves TX interrupts disabled, so this path
-    /// never fires the TX vector.
-    fn process_tx_notify_packed(
-        &mut self,
-        arrival: Time,
-        tx_queue: u16,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> TxOutcome {
-        if link.cfg.max_outstanding_np > 1 {
-            // E20: pipelined packed walker (see the split twin above).
-            return self.process_tx_notify_packed_pipelined(arrival, tx_queue, mem, link);
-        }
-        let hdr_len = self.persona.hdr_len();
-        let csum_feature = matches!(self.persona, Persona::Net { .. })
-            && self.features() & net::feature::CSUM != 0;
-        let timing = self.timing;
-
-        let mut t = arrival + timing.notify_decode;
-        self.counters.h2c.start(arrival);
-        vf_trace::instant(
-            vf_trace::Layer::Device,
-            "notify",
-            arrival,
-            tx_queue as u64,
-            0,
-        );
-        let mut outcome = TxOutcome::default();
-        let mut staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)> = Vec::new();
-
-        loop {
-            let q = self.packed_queues[tx_queue as usize]
-                .as_mut()
-                .expect("TX queue not enabled");
-            let fetch_slot = q.next_slot();
-            let Some(chain) = q.try_take(mem) else { break };
-            t = link.dma_read(t, q.desc_addr(fetch_slot), 64);
-            self.stats.desc_reads += 1;
-            vf_trace::instant(
-                vf_trace::Layer::Device,
-                "desc_read_packed",
-                t,
-                chain.bufs.len() as u64,
-                0,
-            );
-            t += timing.per_desc * chain.bufs.len() as u64;
-            // Payload DMA into BRAM, merging physically adjacent readable
-            // buffers into single bursts (same RTL as the split path).
-            let mut data = Vec::new();
-            let mut bursts: Vec<(u64, usize)> = Vec::new();
-            for &(addr, len, writable) in &chain.bufs {
-                if writable {
-                    continue;
-                }
-                data.extend_from_slice(mem.slice(addr, len as usize));
-                match bursts.last_mut() {
-                    Some((start, blen)) if *start + *blen as u64 == addr => {
-                        *blen += len as usize;
-                    }
-                    _ => bursts.push((addr, len as usize)),
-                }
-            }
-            for (addr, len) in bursts {
-                t = link.dma_read(t, addr, len);
-            }
-            CardMemory::write(&mut self.staging, 0, &data);
-            t += self.staging.access_time(data.len());
-            // Complete: flip the head descriptor to used — a single
-            // 16-byte posted write.
-            let start_slot = chain.start_slot;
-            q.complete(mem, &chain, 0);
-            let used_addr = q.desc_addr(start_slot);
-            t = link.dma_write(t, used_addr, PackedDesc::SIZE as usize);
-            outcome.chains += 1;
-            self.stats.tx_chains += 1;
-
-            // Split off the device-type header.
-            let (hdr, frame) = if hdr_len > 0 && data.len() >= hdr_len {
-                (
-                    Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
-                    data[hdr_len..].to_vec(),
-                )
-            } else {
-                (None, data)
-            };
-            staged.push((frame, hdr));
-        }
-        self.counters.h2c.stop(t);
-
-        t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
-        outcome.done_at = t;
-        outcome
-    }
-
-    /// Pipelined packed-ring TX walker (E20): drains the window of
-    /// published descriptors with [`PackedDeviceQueue::take_burst`],
-    /// then overlaps the 64-byte descriptor burst of chain *k+1* with
-    /// the payload DMA of chain *k* through the tag's non-posted window.
-    /// Used-descriptor writes remain ordered posted writes, and — as on
-    /// the serial packed path — the TX vector never fires.
-    fn process_tx_notify_packed_pipelined(
-        &mut self,
-        arrival: Time,
-        tx_queue: u16,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> TxOutcome {
-        let hdr_len = self.persona.hdr_len();
-        let csum_feature = matches!(self.persona, Persona::Net { .. })
-            && self.features() & net::feature::CSUM != 0;
-        let timing = self.timing;
-
-        let mut t = arrival + timing.notify_decode;
-        self.counters.h2c.start(arrival);
-        vf_trace::instant(
-            vf_trace::Layer::Device,
-            "notify",
-            arrival,
-            tx_queue as u64,
-            0,
-        );
-        let mut outcome = TxOutcome::default();
-        let mut staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)> = Vec::new();
-
-        // Drain every published chain in one windowed burst. The chain's
-        // start slot is both where its 64-byte descriptor burst reads
-        // and where its used descriptor writes back.
-        let q = self.packed_queues[tx_queue as usize]
-            .as_mut()
-            .expect("TX queue not enabled");
-        let chains: Vec<(u64, vf_virtio::packed::PackedChain)> = {
-            let size = usize::from(u16::MAX);
-            q.take_burst(mem, size)
-                .into_iter()
-                .map(|chain| (q.desc_addr(chain.start_slot), chain))
-                .collect()
-        };
-
-        let depth = link.cfg.max_outstanding_np;
-        let n = chains.len();
-        let mut desc_done = vec![Time::ZERO; n];
-        let mut prefetched = 0usize;
-        let mut issue_t = t;
-        let mut last_write = t;
-        for k in 0..n {
-            while prefetched < n && prefetched < k + depth {
-                let (desc_addr, chain) = &chains[prefetched];
-                issue_t += timing.fsm_step;
-                desc_done[prefetched] = link.dma_read_np(issue_t, *desc_addr, 64);
-                self.stats.desc_reads += 1;
-                vf_trace::instant(
-                    vf_trace::Layer::Device,
-                    "desc_read_packed",
-                    desc_done[prefetched],
-                    chain.bufs.len() as u64,
-                    0,
-                );
-                prefetched += 1;
-            }
-            if vf_metrics::is_enabled() {
-                let d = (prefetched - k) as u64;
-                vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, d as i64);
-                vf_metrics::hist_record("fpga.walker.depth_hist", tx_queue as u32, d);
-            }
-            let (used_addr, chain) = &chains[k];
-            let mut ct = (desc_done[k] + timing.per_desc * chain.bufs.len() as u64).max(t);
-            let mut data = Vec::new();
-            let mut bursts: Vec<(u64, usize)> = Vec::new();
-            for &(addr, len, writable) in &chain.bufs {
-                if writable {
-                    continue;
-                }
-                data.extend_from_slice(mem.slice(addr, len as usize));
-                match bursts.last_mut() {
-                    Some((start, blen)) if *start + *blen as u64 == addr => {
-                        *blen += len as usize;
-                    }
-                    _ => bursts.push((addr, len as usize)),
-                }
-            }
-            for (addr, len) in bursts {
-                ct = link.dma_read_np(ct, addr, len);
-            }
-            CardMemory::write(&mut self.staging, 0, &data);
-            ct += self.staging.access_time(data.len());
-            // Flip the head descriptor to used: one posted 16-byte
-            // write the walker does not wait out.
-            let q = self.packed_queues[tx_queue as usize]
-                .as_mut()
-                .expect("TX queue not enabled");
-            q.complete(mem, chain, 0);
-            let w = link.dma_write(ct, *used_addr, PackedDesc::SIZE as usize);
-            last_write = last_write.max(w);
-            outcome.chains += 1;
-            self.stats.tx_chains += 1;
-
-            let (hdr, frame) = if hdr_len > 0 && data.len() >= hdr_len {
-                (
-                    Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
-                    data[hdr_len..].to_vec(),
-                )
-            } else {
-                (None, data)
-            };
-            staged.push((frame, hdr));
-            t = ct;
-        }
-        t = t.max(last_write);
-        self.stats.walker_peak_inflight = self
-            .stats
-            .walker_peak_inflight
-            .max(link.np_peak_in_flight() as u64);
-        if vf_metrics::is_enabled() && n > 0 {
-            vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, 0);
-        }
-        self.counters.h2c.stop(t);
-
-        t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
-        outcome.done_at = t;
-        outcome
-    }
-
-    /// Deliver one response into the RX queue: fetch an RX buffer's
-    /// descriptor, DMA-write header+data, complete, and interrupt.
+    /// Deliver one response into the RX queue: find a posted RX buffer,
+    /// DMA-write header+data, complete, and interrupt.
+    ///
+    /// A split ring answers "is a buffer posted?" with one burst over
+    /// the avail index and the next ring entry, then a descriptor fetch;
+    /// a packed ring (E17) with one 16-byte descriptor read, whose phase
+    /// bits say whether it is available. No posted buffer, or one the
+    /// device cannot resolve, drops the frame. A buffer that is not
+    /// device-writable or too small is completed with zero bytes and the
+    /// frame dropped; both count in `rx_dropped`.
     ///
     /// The `c2h` counter runs from `ready_at` to the MSI-X write hitting
     /// the wire.
@@ -1158,108 +888,6 @@ impl VirtioFpgaDevice {
         link: &mut PcieLink,
     ) -> RxOutcome {
         link.select_dma_context(rx_queue as usize);
-        if self.packed_queues[rx_queue as usize].is_some() {
-            return self.deliver_response_packed(ready_at, rx_queue, response, mem, link);
-        }
-        let hdr_len = self.persona.hdr_len();
-        let guest_csum = matches!(self.persona, Persona::Net { .. })
-            && self.features() & net::feature::GUEST_CSUM != 0;
-        let timing = self.timing;
-        let q = self.queues[rx_queue as usize]
-            .as_mut()
-            .expect("RX queue not enabled");
-        let layout = *q.layout();
-
-        self.counters.c2h.start(ready_at);
-        let mut t = ready_at + timing.fsm_step;
-
-        // Check for a posted RX buffer: one burst covers the avail index
-        // and the next ring entry.
-        t = link.dma_read(t, layout.avail_idx_addr(), 8);
-        self.stats.desc_reads += 1;
-        if q.pending(mem) == 0 {
-            self.stats.rx_dropped += 1;
-            let _ = self.counters.c2h.stop(t);
-            return RxOutcome {
-                irq_at: None,
-                done_at: t,
-                delivered: false,
-            };
-        }
-        let pos = q.last_avail();
-        let (chain, fetches) = q.resolve_at(mem, pos).expect("corrupt RX chain");
-        t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
-        self.stats.desc_reads += 1;
-        vf_trace::instant(
-            vf_trace::Layer::Device,
-            "desc_read_split",
-            t,
-            fetches as u64,
-            0,
-        );
-        t += timing.per_desc * fetches as u64;
-        q.advance();
-
-        // Write header + data into the (single) writable buffer.
-        let buf = chain.bufs[0];
-        assert!(buf.writable, "RX chain must be device-writable");
-        let total = hdr_len + response.data.len();
-        assert!(total as u32 <= buf.len, "RX buffer too small");
-        if hdr_len > 0 {
-            let hdr = VirtioNetHdr {
-                flags: if response.csum_valid || guest_csum {
-                    HDR_F_DATA_VALID
-                } else {
-                    0
-                },
-                num_buffers: 1,
-                ..Default::default()
-            };
-            hdr.write_to(mem, buf.addr);
-        }
-        GuestMemory::write(mem, buf.addr + hdr_len as u64, &response.data);
-        t += self.staging.access_time(response.data.len());
-        t = link.dma_write(t, buf.addr, total);
-
-        // Used entry + index.
-        let old_used = q.complete(mem, chain.head, total as u32);
-        t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-        t = link.dma_write(t, layout.used_idx_addr(), 2);
-
-        // Interrupt.
-        let mut irq_at = None;
-        if q.should_interrupt(mem, old_used) {
-            if let Some((_addr, _data)) = self.msix.fire(rx_queue as usize) {
-                let at = link.msix_write(t);
-                irq_at = Some(at);
-                self.stats.irqs_sent += 1;
-                t = at;
-            }
-        }
-        let _ = self.counters.c2h.stop(t);
-        self.stats.rx_frames += 1;
-        RxOutcome {
-            irq_at,
-            done_at: t,
-            delivered: true,
-        }
-    }
-
-    /// Packed-ring RX path (E17): one 16-byte descriptor read tells the
-    /// controller both *whether* a buffer is available (the AVAIL/USED
-    /// phase bits ride in the descriptor) and *where* it is — the split
-    /// ring needs an avail-index read plus a descriptor-table fetch for
-    /// the same answer. Completion is again a single 16-byte write. The
-    /// packed front end runs without `RING_EVENT_IDX`, so the RX vector
-    /// always fires.
-    fn deliver_response_packed(
-        &mut self,
-        ready_at: Time,
-        rx_queue: u16,
-        response: &PendingResponse,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> RxOutcome {
         let hdr_len = self.persona.hdr_len();
         let guest_csum = matches!(self.persona, Persona::Net { .. })
             && self.features() & net::feature::GUEST_CSUM != 0;
@@ -1268,14 +896,15 @@ impl VirtioFpgaDevice {
         self.counters.c2h.start(ready_at);
         let mut t = ready_at + timing.fsm_step;
 
-        let q = self.packed_queues[rx_queue as usize]
-            .as_mut()
-            .expect("RX queue not enabled");
-        let fetch_slot = q.next_slot();
-        t = link.dma_read(t, q.desc_addr(fetch_slot), PackedDesc::SIZE as usize);
+        let ring = self.ring(rx_queue);
+        let name = ring.desc_read_name();
+        let (poll, polled_descs) = ring.poll_read();
+        t = link.dma_read(t, poll.addr, poll.len);
         self.stats.desc_reads += 1;
-        vf_trace::instant(vf_trace::Layer::Device, "desc_read_packed", t, 1, 0);
-        let Some(chain) = q.try_take(mem) else {
+        if polled_descs > 0 {
+            vf_trace::instant(vf_trace::Layer::Device, name, t, polled_descs as u64, 0);
+        }
+        let Ok(Some((chain, read))) = self.ring(rx_queue).take_posted(mem) else {
             self.stats.rx_dropped += 1;
             let _ = self.counters.c2h.stop(t);
             return RxOutcome {
@@ -1284,50 +913,49 @@ impl VirtioFpgaDevice {
                 delivered: false,
             };
         };
-        t += timing.per_desc;
+        if let Some(read) = read {
+            t = link.dma_read(t, read.addr, read.len);
+            self.stats.desc_reads += 1;
+            vf_trace::instant(vf_trace::Layer::Device, name, t, chain.descs as u64, 0);
+        }
+        t += timing.per_desc * chain.descs as u64;
 
         // Write header + data into the (single) writable buffer.
-        let (buf_addr, buf_len, writable) = chain.bufs[0];
-        assert!(writable, "RX chain must be device-writable");
+        let buf = chain.chain.bufs[0];
         let total = hdr_len + response.data.len();
-        assert!(total as u32 <= buf_len, "RX buffer too small");
-        if hdr_len > 0 {
-            let hdr = VirtioNetHdr {
-                flags: if response.csum_valid || guest_csum {
-                    HDR_F_DATA_VALID
-                } else {
-                    0
-                },
-                num_buffers: 1,
-                ..Default::default()
-            };
-            hdr.write_to(mem, buf_addr);
+        let delivered = buf.writable && total as u32 <= buf.len;
+        let mut written = 0;
+        if delivered {
+            if hdr_len > 0 {
+                let hdr = VirtioNetHdr {
+                    flags: if response.csum_valid || guest_csum {
+                        HDR_F_DATA_VALID
+                    } else {
+                        0
+                    },
+                    num_buffers: 1,
+                    ..Default::default()
+                };
+                hdr.write_to(mem, buf.addr);
+            }
+            GuestMemory::write(mem, buf.addr + hdr_len as u64, &response.data);
+            t += self.staging.access_time(response.data.len());
+            t = link.dma_write(t, buf.addr, total);
+            written = total as u32;
         }
-        GuestMemory::write(mem, buf_addr + hdr_len as u64, &response.data);
-        t += self.staging.access_time(response.data.len());
-        t = link.dma_write(t, buf_addr, total);
 
-        // Single used-descriptor write back at the chain's start slot.
-        let start_slot = chain.start_slot;
-        q.complete(mem, &chain, total as u32);
-        let used_addr = q.desc_addr(start_slot);
-        t = link.dma_write(t, used_addr, PackedDesc::SIZE as usize);
-
-        // Interrupt — unconditional: no EVENT_IDX suppression on the
-        // packed front end.
-        let mut irq_at = None;
-        if let Some((_addr, _data)) = self.msix.fire(rx_queue as usize) {
-            let at = link.msix_write(t);
-            irq_at = Some(at);
-            self.stats.irqs_sent += 1;
-            t = at;
-        }
+        let (done, irq_at) = self.complete_chain(rx_queue, &chain, written, t, mem, link);
+        t = irq_at.unwrap_or(done);
         let _ = self.counters.c2h.stop(t);
-        self.stats.rx_frames += 1;
+        if delivered {
+            self.stats.rx_frames += 1;
+        } else {
+            self.stats.rx_dropped += 1;
+        }
         RxOutcome {
             irq_at,
             done_at: t,
-            delivered: true,
+            delivered,
         }
     }
 
@@ -1352,23 +980,18 @@ impl VirtioFpgaDevice {
     ) -> BlkOutcome {
         link.select_dma_context(queue as usize);
         let timing = self.timing;
-        let q = self.queues[queue as usize]
-            .as_mut()
-            .expect("request queue not enabled");
-        let layout = *q.layout();
         let mut t = arrival + timing.notify_decode;
-        // One burst covers the avail index and every new ring entry (the
-        // same coalescing the rng walker does), instead of a per-request
-        // 2-byte ring read.
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
-        let mut completions = Vec::with_capacity(pending);
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            let (chain, fetches) = match q.resolve_at(mem, pos) {
-                Ok(r) => r,
+        let ring = self.ring(queue);
+        let name = ring.desc_read_name();
+        if let Some(read) = ring.begin_pass(mem) {
+            t = link.dma_read(t, read.addr, read.len);
+            self.stats.desc_reads += 1;
+        }
+        let mut completions = Vec::new();
+        loop {
+            let (chain, read) = match self.ring(queue).next_chain(mem) {
+                Ok(Some(next)) => next,
+                Ok(None) => break,
                 Err(_) => {
                     // The device cannot even tell where the chain ends;
                     // a real controller would raise NEEDS_RESET. Stop
@@ -1378,26 +1001,19 @@ impl VirtioFpgaDevice {
                 }
             };
             // Burst-fetch the chain's descriptor table.
-            t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
+            t = link.dma_read(t, read.addr, read.len);
             self.stats.desc_reads += 1;
-            vf_trace::instant(
-                vf_trace::Layer::Device,
-                "desc_read_split",
-                t,
-                fetches as u64,
-                0,
-            );
-            t += timing.per_desc * fetches as u64;
-            q.advance();
+            vf_trace::instant(vf_trace::Layer::Device, name, t, chain.descs as u64, 0);
+            t += timing.per_desc * chain.descs as u64;
 
             // H2C phase: header read + request data movement (reads for
             // OUT payloads, writes for IN fills).
             self.counters.h2c.start(t);
-            t = link.dma_read(t, chain.bufs[0].addr, 16);
+            t = link.dma_read(t, chain.chain.bufs[0].addr, 16);
             let Persona::Block { disk, .. } = &mut self.persona else {
                 panic!("block notify on a non-block persona");
             };
-            let (status, written) = match BlkRequest::parse(mem, &chain) {
+            let (status, written) = match BlkRequest::parse(mem, &chain.chain) {
                 Ok(req) => {
                     let mut bytes = 0usize;
                     for &(addr, len, writable) in &req.data {
@@ -1435,7 +1051,7 @@ impl VirtioFpgaDevice {
                         // Header and status footer were validated before
                         // the type check, so an unknown type still has a
                         // status slot to report UNSUPP into.
-                        let status_addr = chain.bufs.last().expect("len >= 2").addr;
+                        let status_addr = chain.chain.bufs.last().expect("len >= 2").addr;
                         GuestMemory::write(mem, status_addr, &[blk_status::UNSUPP]);
                         t = link.dma_write(t, status_addr, 1);
                         (blk_status::UNSUPP, 1)
@@ -1447,22 +1063,11 @@ impl VirtioFpgaDevice {
                 }
             };
             self.stats.blk_requests += 1;
-            let old_used = q.complete(mem, chain.head, written);
-            t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-            t = link.dma_write(t, layout.used_idx_addr(), 2);
-            let done_at = t;
-            let mut irq_at = None;
-            if q.should_interrupt(mem, old_used) {
-                if let Some(_msg) = self.msix.fire(queue as usize) {
-                    let at = link.msix_write(t);
-                    irq_at = Some(at);
-                    self.stats.irqs_sent += 1;
-                    t = at;
-                }
-            }
+            let (done_at, irq_at) = self.complete_chain(queue, &chain, written, t, mem, link);
+            t = irq_at.unwrap_or(done_at);
             let _ = self.counters.c2h.stop(t);
             completions.push(BlkCompletion {
-                head: chain.head,
+                head: chain.chain.head,
                 status,
                 done_at,
                 irq_at,
@@ -1476,7 +1081,8 @@ impl VirtioFpgaDevice {
 
     /// Process a doorbell on an entropy-device request queue: fill each
     /// writable buffer from the fabric entropy source, DMA it into host
-    /// memory, complete, interrupt.
+    /// memory, complete, interrupt. A chain the device cannot resolve
+    /// stops the pass.
     pub fn process_rng_notify(
         &mut self,
         arrival: Time,
@@ -1486,29 +1092,22 @@ impl VirtioFpgaDevice {
     ) -> RxOutcome {
         link.select_dma_context(queue as usize);
         let timing = self.timing;
-        let q = self.queues[queue as usize]
-            .as_mut()
-            .expect("request queue not enabled");
-        let layout = *q.layout();
         let mut t = arrival + timing.notify_decode;
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
+        if let Some(read) = self.ring(queue).begin_pass(mem) {
+            t = link.dma_read(t, read.addr, read.len);
+            self.stats.desc_reads += 1;
+        }
         let mut irq_at = None;
         let mut any = false;
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            let (chain, fetches) = q.resolve_at(mem, pos).expect("corrupt rng chain");
-            t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
+        while let Ok(Some((chain, read))) = self.ring(queue).next_chain(mem) {
+            t = link.dma_read(t, read.addr, read.len);
             self.stats.desc_reads += 1;
-            t += timing.per_desc * fetches as u64;
-            q.advance();
+            t += timing.per_desc * chain.descs as u64;
             let Persona::Rng { src } = &mut self.persona else {
                 panic!("rng notify on a non-rng persona");
             };
             let mut written = 0u32;
-            for buf in chain.bufs.iter().filter(|b| b.writable) {
+            for buf in chain.chain.bufs.iter().filter(|b| b.writable) {
                 let mut data = vec![0u8; buf.len as usize];
                 src.fill(&mut data);
                 GuestMemory::write(mem, buf.addr, &data);
@@ -1517,14 +1116,10 @@ impl VirtioFpgaDevice {
                 t = link.dma_write(t, buf.addr, buf.len as usize);
                 written += buf.len;
             }
-            let old_used = q.complete(mem, chain.head, written);
-            t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-            t = link.dma_write(t, layout.used_idx_addr(), 2);
-            if q.should_interrupt(mem, old_used) {
-                if let Some(_msg) = self.msix.fire(queue as usize) {
-                    irq_at = Some(link.msix_write(t));
-                    self.stats.irqs_sent += 1;
-                }
+            let (done, irq) = self.complete_chain(queue, &chain, written, t, mem, link);
+            t = done;
+            if irq.is_some() {
+                irq_at = irq;
             }
             any = true;
         }
@@ -1549,8 +1144,11 @@ impl VirtioFpgaDevice {
 
     /// Process a doorbell on the net control virtqueue: walk each
     /// pending chain, decode the `{class, command, data..., ack}`
-    /// layout, apply `MQ_VQ_PAIRS_SET`, and write the ack byte back.
-    /// Unknown or malformed commands ack `ERR` (VirtIO 1.2 §5.1.6.5).
+    /// layout, write the ack byte back, then apply the accepted state
+    /// changes. Unknown or malformed commands ack `ERR` (VirtIO 1.2
+    /// §5.1.6.5). A chain without a writable ack buffer is completed
+    /// with zero bytes and not applied; a chain the device cannot
+    /// resolve stops the pass.
     pub fn process_ctrl_notify(
         &mut self,
         arrival: Time,
@@ -1563,121 +1161,38 @@ impl VirtioFpgaDevice {
             _ => panic!("ctrl notify on a non-net persona"),
         };
         link.select_dma_context(queue as usize);
-        if self.packed_queues[queue as usize].is_some() {
-            return self.process_ctrl_notify_packed(arrival, queue, max_pairs, mem, link);
-        }
         let timing = self.timing;
-        let q = self.queues[queue as usize]
-            .as_mut()
-            .expect("ctrl queue not enabled");
-        let layout = *q.layout();
         let mut t = arrival + timing.notify_decode;
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
+        if let Some(read) = self.ring(queue).begin_pass(mem) {
+            t = link.dma_read(t, read.addr, read.len);
+            self.stats.desc_reads += 1;
+        }
         let mut irq_at = None;
         let mut any = false;
         let mut actions = Vec::new();
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            let (chain, fetches) = q.resolve_at(mem, pos).expect("corrupt ctrl chain");
-            t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
+        while let Ok(Some((chain, read))) = self.ring(queue).next_chain(mem) {
+            t = link.dma_read(t, read.addr, read.len);
             self.stats.desc_reads += 1;
-            t += timing.per_desc * fetches as u64;
-            q.advance();
+            t += timing.per_desc * chain.descs as u64;
             // Gather the readable command bytes: class, command, data.
             let mut cmd = Vec::new();
-            for buf in chain.bufs.iter().filter(|b| !b.writable) {
+            for buf in chain.chain.bufs.iter().filter(|b| !b.writable) {
                 cmd.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
                 t = link.dma_read(t, buf.addr, buf.len as usize);
             }
-            let ack = chain
-                .bufs
-                .iter()
-                .rev()
-                .find(|b| b.writable)
-                .expect("ctrl chain needs a writable ack buffer");
-            let (status, action) = decode_ctrl_command(&cmd, max_pairs);
-            actions.extend(action);
-            GuestMemory::write(mem, ack.addr, &[status]);
-            t = link.dma_write(t, ack.addr, 1);
-            self.stats.ctrl_commands += 1;
-            let old_used = q.complete(mem, chain.head, 1);
-            t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-            t = link.dma_write(t, layout.used_idx_addr(), 2);
-            if q.should_interrupt(mem, old_used) {
-                if let Some(_msg) = self.msix.fire(queue as usize) {
-                    irq_at = Some(link.msix_write(t));
-                    self.stats.irqs_sent += 1;
-                }
+            let mut written = 0;
+            if let Some(ack) = chain.chain.bufs.iter().rev().find(|b| b.writable) {
+                let (status, action) = decode_ctrl_command(&cmd, max_pairs);
+                actions.extend(action);
+                GuestMemory::write(mem, ack.addr, &[status]);
+                t = link.dma_write(t, ack.addr, 1);
+                self.stats.ctrl_commands += 1;
+                written = 1;
             }
-            any = true;
-        }
-        for action in actions {
-            self.apply_ctrl_action(action);
-        }
-        RxOutcome {
-            irq_at,
-            done_at: t,
-            delivered: any,
-        }
-    }
-
-    /// Packed-ring control virtqueue (E20's MQ × packed fusion): same
-    /// command set, packed-layout walk — one 64-byte descriptor burst
-    /// per chain, one 16-byte used write, unconditional completion
-    /// vector (no EVENT_IDX on the packed front end).
-    fn process_ctrl_notify_packed(
-        &mut self,
-        arrival: Time,
-        queue: u16,
-        max_pairs: u16,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> RxOutcome {
-        let timing = self.timing;
-        let mut t = arrival + timing.notify_decode;
-        let mut irq_at = None;
-        let mut any = false;
-        let mut actions = Vec::new();
-        loop {
-            let q = self.packed_queues[queue as usize]
-                .as_mut()
-                .expect("ctrl queue not enabled");
-            let fetch_slot = q.next_slot();
-            let Some(chain) = q.try_take(mem) else { break };
-            t = link.dma_read(t, q.desc_addr(fetch_slot), 64);
-            self.stats.desc_reads += 1;
-            t += timing.per_desc * chain.bufs.len() as u64;
-            let mut cmd = Vec::new();
-            for &(addr, len, writable) in &chain.bufs {
-                if writable {
-                    continue;
-                }
-                cmd.extend_from_slice(mem.slice(addr, len as usize));
-                t = link.dma_read(t, addr, len as usize);
-            }
-            let &(ack_addr, _, _) = chain
-                .bufs
-                .iter()
-                .rev()
-                .find(|b| b.2)
-                .expect("ctrl chain needs a writable ack buffer");
-            let (status, action) = decode_ctrl_command(&cmd, max_pairs);
-            actions.extend(action);
-            GuestMemory::write(mem, ack_addr, &[status]);
-            t = link.dma_write(t, ack_addr, 1);
-            self.stats.ctrl_commands += 1;
-            let start_slot = chain.start_slot;
-            let q = self.packed_queues[queue as usize]
-                .as_mut()
-                .expect("ctrl queue not enabled");
-            q.complete(mem, &chain, 1);
-            t = link.dma_write(t, q.desc_addr(start_slot), PackedDesc::SIZE as usize);
-            if let Some(_msg) = self.msix.fire(queue as usize) {
-                irq_at = Some(link.msix_write(t));
-                self.stats.irqs_sent += 1;
+            let (done, irq) = self.complete_chain(queue, &chain, written, t, mem, link);
+            t = done;
+            if irq.is_some() {
+                irq_at = irq;
             }
             any = true;
         }
@@ -1775,10 +1290,10 @@ mod tests {
     use vf_pcie::{enumerate, LinkConfig, MmioAllocator, MSI_ADDR_BASE};
     use vf_sim::Time;
     use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
-    use vf_virtio::packed::{PackedBuffer, PackedDriverQueue};
     use vf_virtio::pci::common;
     use vf_virtio::ring::VirtqueueLayout;
     use vf_virtio::status;
+    use vf_virtio::DriverRing;
 
     use crate::user_logic::UdpEcho;
 
@@ -1793,13 +1308,8 @@ mod tests {
         )
     }
 
-    /// Minimal driver-side bring-up against the device's MMIO interface:
-    /// status dance, features, queue programming, MSI-X arming.
-    fn bring_up(
-        dev: &mut VirtioFpgaDevice,
-        mem: &mut HostMemory,
-        queue_size: u16,
-    ) -> (DriverQueue, DriverQueue) {
+    /// Status dance up to FEATURES_OK, accepting `accept`.
+    fn negotiate(dev: &mut VirtioFpgaDevice, accept: u64) {
         use common as c;
         dev.mmio_write(bar0::COMMON + c::DEVICE_STATUS, 1, 0);
         dev.mmio_write(
@@ -1812,7 +1322,6 @@ mod tests {
             1,
             (status::ACKNOWLEDGE | status::DRIVER) as u64,
         );
-        let accept = feature::VERSION_1 | feature::RING_EVENT_IDX | net::feature::CSUM;
         dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 0);
         dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
         dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
@@ -1823,46 +1332,67 @@ mod tests {
             (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
         );
         assert!(dev.mmio_read(bar0::COMMON + c::DEVICE_STATUS, 1) as u8 & status::FEATURES_OK != 0);
+    }
 
-        // Rings.
-        let rx_base = mem.alloc(
-            VirtqueueLayout::contiguous(0, queue_size).total_bytes() as usize,
-            4096,
-        );
-        let tx_base = mem.alloc(
-            VirtqueueLayout::contiguous(0, queue_size).total_bytes() as usize,
-            4096,
-        );
-        let rx_layout = VirtqueueLayout::contiguous(rx_base, queue_size);
-        let tx_layout = VirtqueueLayout::contiguous(tx_base, queue_size);
-        for (qi, layout) in [(0u16, rx_layout), (1u16, tx_layout)] {
-            dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, qi as u64);
-            dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, queue_size as u64);
-            dev.mmio_write(bar0::COMMON + c::QUEUE_MSIX_VECTOR, 2, qi as u64);
-            dev.mmio_write(
-                bar0::COMMON + c::QUEUE_DESC_LO,
-                4,
-                layout.desc & 0xFFFF_FFFF,
-            );
-            dev.mmio_write(
-                bar0::COMMON + c::QUEUE_DRIVER_LO,
-                4,
-                layout.avail & 0xFFFF_FFFF,
-            );
-            dev.mmio_write(
-                bar0::COMMON + c::QUEUE_DEVICE_LO,
-                4,
-                layout.used & 0xFFFF_FFFF,
-            );
-            let ev = dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1);
-            assert_eq!(ev, Some(MmioEvent::QueueEnabled(qi)));
-        }
+    /// Allocate a ring of `size` descriptors and program it as queue
+    /// `qi` (MSI-X vector = `qi`).
+    fn enable_ring(
+        dev: &mut VirtioFpgaDevice,
+        mem: &mut HostMemory,
+        qi: u16,
+        size: u16,
+        packed: bool,
+    ) -> DriverRing {
+        use common as c;
+        let base = mem.alloc(DriverRing::bytes(size, packed), 4096);
+        let ring = DriverRing::new(mem, base, size, packed, !packed);
+        let (size, desc, driver, device) = ring.programming();
+        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, qi as u64);
+        dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, size as u64);
+        dev.mmio_write(bar0::COMMON + c::QUEUE_MSIX_VECTOR, 2, qi as u64);
+        dev.mmio_write(bar0::COMMON + c::QUEUE_DESC_LO, 4, desc);
+        dev.mmio_write(bar0::COMMON + c::QUEUE_DRIVER_LO, 4, driver);
+        dev.mmio_write(bar0::COMMON + c::QUEUE_DEVICE_LO, 4, device);
+        let ev = dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1);
+        assert_eq!(ev, Some(MmioEvent::QueueEnabled(qi)));
+        ring
+    }
+
+    fn driver_ok(dev: &mut VirtioFpgaDevice) {
         dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
+            bar0::COMMON + common::DEVICE_STATUS,
             1,
             (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
         );
         assert!(dev.is_live());
+    }
+
+    /// The ring-layout feature bit: split rings run EVENT_IDX, packed
+    /// rings never request it.
+    fn layout_feature(packed: bool) -> u64 {
+        if packed {
+            feature::RING_PACKED
+        } else {
+            feature::RING_EVENT_IDX
+        }
+    }
+
+    /// Minimal driver-side bring-up of the net device's RX/TX rings
+    /// through its MMIO interface — status dance, features, queue
+    /// programming, MSI-X arming — on either ring layout.
+    fn bring_up(
+        dev: &mut VirtioFpgaDevice,
+        mem: &mut HostMemory,
+        queue_size: u16,
+        packed: bool,
+    ) -> (DriverRing, DriverRing) {
+        negotiate(
+            dev,
+            feature::VERSION_1 | layout_feature(packed) | net::feature::CSUM,
+        );
+        let rx = enable_ring(dev, mem, 0, queue_size, packed);
+        let tx = enable_ring(dev, mem, 1, queue_size, packed);
+        driver_ok(dev);
 
         // MSI-X through the table MMIO.
         dev.msix_enable();
@@ -1872,11 +1402,8 @@ mod tests {
             dev.mmio_write(bar0::MSIX_TABLE + v * 16 + 8, 4, 0x40 + v);
             dev.mmio_write(bar0::MSIX_TABLE + v * 16 + 12, 4, 0); // unmask
         }
-
-        let rx = DriverQueue::new(mem, rx_layout, true);
-        let tx = DriverQueue::new(mem, tx_layout, true);
         // TX interrupts are unwanted (virtio-net policy).
-        tx.park_used_event(mem);
+        tx.disable_interrupts(mem);
         (rx, tx)
     }
 
@@ -1926,69 +1453,21 @@ mod tests {
         assert_eq!(dev.mmio_read(bar0::DEVICE_CFG + 10, 2), 1500);
     }
 
-    /// Bring up only the ctrl virtqueue of a 2-pair MQ net device.
-    fn mq_ctrl_bring_up(
+    /// Bring up only the ctrl virtqueue of a `pairs`-pair MQ net device.
+    fn ctrl_bring_up(
         dev: &mut VirtioFpgaDevice,
         mem: &mut HostMemory,
         pairs: u16,
-    ) -> (DriverQueue, u16) {
-        use common as c;
+        packed: bool,
+    ) -> (DriverRing, u16) {
         let ctrl_q = net::ctrl_queue_index(pairs);
-        dev.mmio_write(bar0::COMMON + c::DEVICE_STATUS, 1, 0);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
+        negotiate(
+            dev,
+            feature::VERSION_1 | layout_feature(packed) | net::feature::CTRL_VQ | net::feature::MQ,
         );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        let accept =
-            feature::VERSION_1 | feature::RING_EVENT_IDX | net::feature::CTRL_VQ | net::feature::MQ;
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 0);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept >> 32);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
-        let base = mem.alloc(
-            VirtqueueLayout::contiguous(0, 64).total_bytes() as usize,
-            4096,
-        );
-        let layout = VirtqueueLayout::contiguous(base, 64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, ctrl_q as u64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, 64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_MSIX_VECTOR, 2, ctrl_q as u64);
-        dev.mmio_write(
-            bar0::COMMON + c::QUEUE_DESC_LO,
-            4,
-            layout.desc & 0xFFFF_FFFF,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::QUEUE_DRIVER_LO,
-            4,
-            layout.avail & 0xFFFF_FFFF,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::QUEUE_DEVICE_LO,
-            4,
-            layout.used & 0xFFFF_FFFF,
-        );
-        assert_eq!(
-            dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1),
-            Some(MmioEvent::QueueEnabled(ctrl_q))
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
-        (DriverQueue::new(mem, layout, true), ctrl_q)
+        let ctrl = enable_ring(dev, mem, ctrl_q, 64, packed);
+        driver_ok(dev);
+        (ctrl, ctrl_q)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1996,7 +1475,7 @@ mod tests {
         dev: &mut VirtioFpgaDevice,
         mem: &mut HostMemory,
         link: &mut PcieLink,
-        ctrl: &mut DriverQueue,
+        ctrl: &mut DriverRing,
         ctrl_q: u16,
         class: u8,
         cmd: u8,
@@ -2007,7 +1486,7 @@ mod tests {
         GuestMemory::write(mem, cmd_buf, &[class, cmd]);
         GuestMemory::write(mem, cmd_buf + 2, &pairs.to_le_bytes());
         GuestMemory::write(mem, ack_buf, &[0xAA]);
-        ctrl.add_and_publish(
+        ctrl.add(
             mem,
             &[
                 BufferSpec::readable(cmd_buf, 2),
@@ -2040,24 +1519,26 @@ mod tests {
 
     #[test]
     fn ctrl_vq_sets_active_queue_pairs() {
-        let mut dev = mq_net_device(2);
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (mut ctrl, ctrl_q) = mq_ctrl_bring_up(&mut dev, &mut mem, 2);
-        assert_eq!(dev.active_queue_pairs(), 1);
-        let ack = ctrl_command(
-            &mut dev,
-            &mut mem,
-            &mut link,
-            &mut ctrl,
-            ctrl_q,
-            net::ctrl::CLASS_MQ,
-            net::ctrl::MQ_VQ_PAIRS_SET,
-            2,
-        );
-        assert_eq!(ack, net::ctrl::OK);
-        assert_eq!(dev.active_queue_pairs(), 2);
-        assert_eq!(dev.stats.ctrl_commands, 1);
+        for packed in [false, true] {
+            let mut dev = mq_net_device(2);
+            let mut mem = HostMemory::testbed_default();
+            let mut link = PcieLink::new(LinkConfig::gen2_x2());
+            let (mut ctrl, ctrl_q) = ctrl_bring_up(&mut dev, &mut mem, 2, packed);
+            assert_eq!(dev.active_queue_pairs(), 1);
+            let ack = ctrl_command(
+                &mut dev,
+                &mut mem,
+                &mut link,
+                &mut ctrl,
+                ctrl_q,
+                net::ctrl::CLASS_MQ,
+                net::ctrl::MQ_VQ_PAIRS_SET,
+                2,
+            );
+            assert_eq!(ack, net::ctrl::OK);
+            assert_eq!(dev.active_queue_pairs(), 2);
+            assert_eq!(dev.stats.ctrl_commands, 1);
+        }
     }
 
     #[test]
@@ -2065,7 +1546,7 @@ mod tests {
         let mut dev = mq_net_device(2);
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (mut ctrl, ctrl_q) = mq_ctrl_bring_up(&mut dev, &mut mem, 2);
+        let (mut ctrl, ctrl_q) = ctrl_bring_up(&mut dev, &mut mem, 2, false);
         // More pairs than the device advertises.
         let ack = ctrl_command(
             &mut dev,
@@ -2121,7 +1602,7 @@ mod tests {
         dev: &mut VirtioFpgaDevice,
         mem: &mut HostMemory,
         link: &mut PcieLink,
-        ctrl: &mut DriverQueue,
+        ctrl: &mut DriverRing,
         ctrl_q: u16,
         cmd: &[u8],
     ) -> u8 {
@@ -2129,7 +1610,7 @@ mod tests {
         let ack_buf = mem.alloc(1, 1);
         GuestMemory::write(mem, cmd_buf, cmd);
         GuestMemory::write(mem, ack_buf, &[0xAA]);
-        ctrl.add_and_publish(
+        ctrl.add(
             mem,
             &[
                 BufferSpec::readable(cmd_buf, cmd.len() as u32),
@@ -2161,7 +1642,7 @@ mod tests {
         let mut dev = mq_net_device(4);
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (mut ctrl, ctrl_q) = mq_ctrl_bring_up(&mut dev, &mut mem, 4);
+        let (mut ctrl, ctrl_q) = ctrl_bring_up(&mut dev, &mut mem, 4, false);
         let ack = ctrl_command(
             &mut dev,
             &mut mem,
@@ -2204,7 +1685,7 @@ mod tests {
         let mut dev = mq_net_device(4);
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (mut ctrl, ctrl_q) = mq_ctrl_bring_up(&mut dev, &mut mem, 4);
+        let (mut ctrl, ctrl_q) = ctrl_bring_up(&mut dev, &mut mem, 4, false);
         let table = pinned_table(&[0, 1, 2, 3]);
         // Truncated key.
         let cmd = rss_command_bytes(&table, &net::RSS_DEFAULT_KEY[..8]);
@@ -2231,91 +1712,6 @@ mod tests {
         assert!(dev.rss_indirection().is_none());
     }
 
-    fn packed_ctrl_bring_up(
-        dev: &mut VirtioFpgaDevice,
-        mem: &mut HostMemory,
-        pairs: u16,
-    ) -> (PackedDriverQueue, u16) {
-        use common as c;
-        let ctrl_q = net::ctrl_queue_index(pairs);
-        dev.mmio_write(bar0::COMMON + c::DEVICE_STATUS, 1, 0);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        let accept =
-            feature::VERSION_1 | feature::RING_PACKED | net::feature::CTRL_VQ | net::feature::MQ;
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 0);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept >> 32);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
-        let ring = mem.alloc(64 * PackedDesc::SIZE as usize, 4096);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, ctrl_q as u64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, 64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_MSIX_VECTOR, 2, ctrl_q as u64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DESC_LO, 4, ring & 0xFFFF_FFFF);
-        assert_eq!(
-            dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1),
-            Some(MmioEvent::QueueEnabled(ctrl_q))
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
-        assert!(dev.is_live());
-        (PackedDriverQueue::new(ring, 64), ctrl_q)
-    }
-
-    #[test]
-    fn packed_ctrl_vq_applies_commands() {
-        let mut dev = mq_net_device(2);
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (mut ctrl, ctrl_q) = packed_ctrl_bring_up(&mut dev, &mut mem, 2);
-        let cmd_buf = mem.alloc(4, 16);
-        let ack_buf = mem.alloc(1, 1);
-        GuestMemory::write(
-            &mut mem,
-            cmd_buf,
-            &[net::ctrl::CLASS_MQ, net::ctrl::MQ_VQ_PAIRS_SET, 2, 0],
-        );
-        GuestMemory::write(&mut mem, ack_buf, &[0xAA]);
-        ctrl.add(
-            &mut mem,
-            &[
-                PackedBuffer {
-                    addr: cmd_buf,
-                    len: 4,
-                    writable: false,
-                },
-                PackedBuffer {
-                    addr: ack_buf,
-                    len: 1,
-                    writable: true,
-                },
-            ],
-        )
-        .unwrap();
-        let out = dev.process_ctrl_notify(Time::ZERO, ctrl_q, &mut mem, &mut link);
-        assert!(out.delivered);
-        assert_eq!(mem.slice(ack_buf, 1)[0], net::ctrl::OK);
-        assert_eq!(dev.active_queue_pairs(), 2);
-        assert_eq!(dev.stats.ctrl_commands, 1);
-        assert!(ctrl.pop_used(&mem).is_some());
-    }
-
     #[test]
     fn pipelined_split_walker_overlaps_descriptor_fetches() {
         let run = |np: usize| -> (Time, u64, u64) {
@@ -2325,7 +1721,7 @@ mod tests {
             cfg.max_outstanding_np = np;
             cfg.relaxed_ordering = np > 1;
             let mut link = PcieLink::new(cfg);
-            let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64);
+            let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64, false);
             for _ in 0..8 {
                 let frame = udp_frame(256);
                 let hdr_buf = mem.alloc(12, 16);
@@ -2336,7 +1732,7 @@ mod tests {
                 }
                 .write_to(&mut mem, hdr_buf);
                 GuestMemory::write(&mut mem, data_buf, &frame);
-                tx.add_and_publish(
+                tx.add(
                     &mut mem,
                     &[
                         BufferSpec::readable(hdr_buf, 12),
@@ -2371,11 +1767,11 @@ mod tests {
         let mut dev = net_device();
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (mut rx, mut tx) = bring_up(&mut dev, &mut mem, 64);
+        let (mut rx, mut tx) = bring_up(&mut dev, &mut mem, 64, false);
 
         // Post one RX buffer.
         let rx_buf = mem.alloc(2048, 64);
-        rx.add_and_publish(&mut mem, &[BufferSpec::writable(rx_buf, 2048)])
+        rx.add(&mut mem, &[BufferSpec::writable(rx_buf, 2048)])
             .unwrap();
 
         // Driver transmits hdr + frame.
@@ -2388,7 +1784,7 @@ mod tests {
         }
         .write_to(&mut mem, hdr_buf);
         GuestMemory::write(&mut mem, data_buf, &frame);
-        tx.add_and_publish(
+        tx.add(
             &mut mem,
             &[
                 BufferSpec::readable(hdr_buf, 12),
@@ -2430,7 +1826,7 @@ mod tests {
         let mut dev = net_device();
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64);
+        let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64, false);
 
         let mut frame = udp_frame(32);
         // UDP length field must be valid for checksum math.
@@ -2447,7 +1843,7 @@ mod tests {
         }
         .write_to(&mut mem, hdr_buf);
         GuestMemory::write(&mut mem, data_buf, &frame);
-        tx.add_and_publish(
+        tx.add(
             &mut mem,
             &[
                 BufferSpec::readable(hdr_buf, 12),
@@ -2479,7 +1875,7 @@ mod tests {
         let mut dev = net_device();
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (_rx, _tx) = bring_up(&mut dev, &mut mem, 64); // no RX buffers posted
+        let (_rx, _tx) = bring_up(&mut dev, &mut mem, 64, false); // no RX buffers posted
         let resp = PendingResponse {
             data: vec![0u8; 64],
             ready_at: Time::ZERO,
@@ -2495,11 +1891,11 @@ mod tests {
     fn reset_tears_down_queues() {
         let mut dev = net_device();
         let mut mem = HostMemory::testbed_default();
-        let (_rx, _tx) = bring_up(&mut dev, &mut mem, 16);
+        let (_rx, _tx) = bring_up(&mut dev, &mut mem, 16, false);
         let ev = dev.mmio_write(bar0::COMMON + common::DEVICE_STATUS, 1, 0);
         assert_eq!(ev, Some(MmioEvent::Reset));
         assert!(!dev.is_live());
-        assert!(dev.queues.iter().all(|q| q.is_none()));
+        assert!(dev.rings.iter().all(|q| q.is_none()));
     }
 
     #[test]
@@ -2766,6 +2162,216 @@ mod tests {
         // Driver sees both used entries.
         assert!(q.pop_used(&mut mem).is_some());
         assert!(q.pop_used(&mut mem).is_some());
+    }
+
+    /// Publish each frame as a header + frame chain on `tx`, header and
+    /// frame adjacent the way the net front end lays them out.
+    fn publish_frames(mem: &mut HostMemory, tx: &mut DriverRing, frames: &[Vec<u8>]) {
+        for frame in frames {
+            let slot = mem.alloc(2048, 512);
+            VirtioNetHdr {
+                num_buffers: 1,
+                ..Default::default()
+            }
+            .write_to(mem, slot);
+            GuestMemory::write(mem, slot + 12, frame);
+            tx.add(
+                mem,
+                &[
+                    BufferSpec::readable(slot, 12),
+                    BufferSpec::readable(slot + 12, frame.len() as u32),
+                ],
+            )
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn walkers_echo_identically_on_every_layout_and_schedule() {
+        let frames: Vec<Vec<u8>> = (0..8)
+            .map(|i| {
+                let mut f = udp_frame(64 + 32 * i);
+                f[42] = i as u8;
+                f
+            })
+            .collect();
+        let mut echoes: Vec<Vec<Vec<u8>>> = Vec::new();
+        for packed in [false, true] {
+            for depth in [1, 4] {
+                let mut dev = net_device();
+                let mut mem = HostMemory::testbed_default();
+                let mut cfg = LinkConfig::gen2_x2();
+                cfg.max_outstanding_np = depth;
+                cfg.relaxed_ordering = depth > 1;
+                let mut link = PcieLink::new(cfg);
+                let (mut rx, mut tx) = bring_up(&mut dev, &mut mem, 64, packed);
+                let bufs: Vec<u64> = (0..16)
+                    .map(|_| {
+                        let buf = mem.alloc(2048, 512);
+                        rx.add(&mut mem, &[BufferSpec::writable(buf, 2048)])
+                            .unwrap();
+                        buf
+                    })
+                    .collect();
+
+                publish_frames(&mut mem, &mut tx, &frames);
+                let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
+                assert_eq!(out.chains, 8);
+                assert!(out.tx_irq_at.is_none(), "TX completions never interrupt");
+                assert_eq!(dev.stats.walker_peak_inflight > 1, depth > 1);
+                let mut rx_irqs = 0;
+                for resp in &out.responses {
+                    let rxo = dev.deliver_response(resp.ready_at, 0, resp, &mut mem, &mut link);
+                    assert!(rxo.delivered);
+                    rx_irqs += usize::from(rxo.irq_at.is_some());
+                }
+                // Packed RX always interrupts; split follows EVENT_IDX,
+                // which stays quiet until the driver consumes.
+                assert_eq!(rx_irqs, if packed { 8 } else { 1 });
+                // Split: the avail burst, one table per chain, then avail
+                // + table per delivery. Packed: one descriptor burst per
+                // chain, one descriptor per delivery.
+                let burst_reads = if packed { 8 + 8 } else { 1 + 8 + 2 * 8 };
+                assert_eq!(dev.stats.desc_reads, burst_reads);
+                let echoed = (0..8)
+                    .map(|_| {
+                        let used = rx.pop_used(&mut mem).unwrap();
+                        mem.read_vec(bufs[used.id as usize], used.len as usize)
+                    })
+                    .collect();
+                echoes.push(echoed);
+
+                // One round trip on its own: E17's 4 vs 2 descriptor reads.
+                publish_frames(&mut mem, &mut tx, &frames[..1]);
+                let out = dev.process_tx_notify(Time::from_us(500), 1, &mut mem, &mut link);
+                let resp = &out.responses[0];
+                dev.deliver_response(resp.ready_at, 0, resp, &mut mem, &mut link);
+                let per_rtt = dev.stats.desc_reads - burst_reads;
+                assert_eq!(per_rtt, if packed { 2 } else { 4 });
+            }
+        }
+        // The echo swapped src/dst IPs, and every configuration delivered
+        // the same bytes.
+        assert_eq!(&echoes[0][0][12 + 26..12 + 30], &[10, 0, 0, 2]);
+        assert!(echoes.iter().all(|e| *e == echoes[0]));
+    }
+
+    /// Publish a chain whose descriptor then links past the end of the
+    /// table: a chain the device cannot resolve.
+    fn publish_unresolvable(mem: &mut HostMemory, ring: &mut DriverRing) {
+        let head = ring.add(mem, &[BufferSpec::writable(0, 64)]).unwrap();
+        let DriverRing::Split(q) = ring else {
+            unreachable!("packed rings name no descriptor indices")
+        };
+        let layout = q.layout();
+        let mut desc = vf_virtio::Desc::read_at(mem, layout.desc, head);
+        desc.flags |= vf_virtio::ring::DESC_F_NEXT;
+        desc.next = layout.size + 7;
+        desc.write_at(mem, layout.desc, head);
+    }
+
+    #[test]
+    fn unresolvable_chain_stops_the_pass() {
+        // Split rings only: packed descriptors name no indices, and the
+        // packed walk's ring-size guard is a separate matter.
+        for depth in [1, 4] {
+            let mut dev = net_device();
+            let mut mem = HostMemory::testbed_default();
+            let mut cfg = LinkConfig::gen2_x2();
+            cfg.max_outstanding_np = depth;
+            let mut link = PcieLink::new(cfg);
+            let (mut rx, mut tx) = bring_up(&mut dev, &mut mem, 16, false);
+            publish_unresolvable(&mut mem, &mut tx);
+            publish_frames(&mut mem, &mut tx, &[udp_frame(64)]);
+            let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
+            assert_eq!(out.chains, 0, "nothing past the bad chain");
+            assert!(out.responses.is_empty());
+
+            publish_unresolvable(&mut mem, &mut rx);
+            let resp = PendingResponse {
+                data: udp_frame(64),
+                ready_at: Time::ZERO,
+                csum_valid: false,
+            };
+            let out = dev.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+            assert!(!out.delivered);
+            assert_eq!(dev.stats.rx_dropped, 1);
+            assert!(rx.pop_used(&mut mem).is_none());
+        }
+        let mut dev = mq_net_device(2);
+        let mut mem = HostMemory::testbed_default();
+        let mut link = PcieLink::new(LinkConfig::gen2_x2());
+        let (mut ctrl, ctrl_q) = ctrl_bring_up(&mut dev, &mut mem, 2, false);
+        publish_unresolvable(&mut mem, &mut ctrl);
+        let out = dev.process_ctrl_notify(Time::ZERO, ctrl_q, &mut mem, &mut link);
+        assert!(!out.delivered);
+        assert_eq!(dev.stats.ctrl_commands, 0);
+    }
+
+    #[test]
+    fn bad_rx_buffer_is_completed_empty_and_dropped() {
+        for packed in [false, true] {
+            // A device-readable buffer, and one too small for the frame.
+            for bad in [BufferSpec::readable(0, 2048), BufferSpec::writable(0, 64)] {
+                let mut dev = net_device();
+                let mut mem = HostMemory::testbed_default();
+                let mut link = PcieLink::new(LinkConfig::gen2_x2());
+                let (mut rx, _tx) = bring_up(&mut dev, &mut mem, 16, packed);
+                let buf = mem.alloc(2048, 64);
+                rx.add(&mut mem, &[BufferSpec { addr: buf, ..bad }])
+                    .unwrap();
+                let resp = PendingResponse {
+                    data: vec![0x77; 500],
+                    ready_at: Time::ZERO,
+                    csum_valid: false,
+                };
+                let out = dev.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+                assert!(!out.delivered);
+                assert_eq!((dev.stats.rx_dropped, dev.stats.rx_frames), (1, 0));
+                assert!(mem.slice(buf, 2048).iter().all(|&b| b == 0), "no write");
+                let used = rx.pop_used(&mut mem).expect("buffer handed back");
+                assert_eq!(used.len, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn ctrl_chain_without_ack_is_completed_empty() {
+        for packed in [false, true] {
+            let mut dev = mq_net_device(2);
+            let mut mem = HostMemory::testbed_default();
+            let mut link = PcieLink::new(LinkConfig::gen2_x2());
+            let (mut ctrl, ctrl_q) = ctrl_bring_up(&mut dev, &mut mem, 2, packed);
+            let cmd = mem.alloc(4, 16);
+            GuestMemory::write(
+                &mut mem,
+                cmd,
+                &[net::ctrl::CLASS_MQ, net::ctrl::MQ_VQ_PAIRS_SET, 2, 0],
+            );
+            ctrl.add(&mut mem, &[BufferSpec::readable(cmd, 4)]).unwrap();
+            let out = dev.process_ctrl_notify(Time::ZERO, ctrl_q, &mut mem, &mut link);
+            assert!(out.delivered);
+            assert_eq!(
+                dev.active_queue_pairs(),
+                1,
+                "an unacked command is not applied"
+            );
+            assert_eq!(dev.stats.ctrl_commands, 0);
+            assert_eq!(ctrl.pop_used(&mut mem).unwrap().len, 0);
+            // The queue keeps working.
+            let ack = ctrl_command(
+                &mut dev,
+                &mut mem,
+                &mut link,
+                &mut ctrl,
+                ctrl_q,
+                net::ctrl::CLASS_MQ,
+                net::ctrl::MQ_VQ_PAIRS_SET,
+                2,
+            );
+            assert_eq!(ack, net::ctrl::OK);
+            assert_eq!(dev.active_queue_pairs(), 2);
+        }
     }
 
     fn enable_queue_zero(

@@ -10,18 +10,14 @@
 //! * [`udp`] — the socket send/receive kernel paths;
 //! * [`virtio_net`] — the in-kernel virtio-pci/virtio-net front-end
 //!   driver (probe sequence, xmit path, NAPI receive) over the real
-//!   `vf-virtio` rings;
+//!   `vf-virtio` rings, split or packed (experiment E17) as negotiated;
 //! * [`virtio_blk`] — the in-kernel virtio-blk front end: 3-part
 //!   request chains, queue-depth-driven outstanding requests, and the
 //!   `SEG_MAX`/`RO`/`FLUSH` negotiation (experiment E24);
-//! * [`virtio_packed`] — the same front end over the VirtIO 1.2
-//!   *packed* virtqueue layout (experiment E17);
 //! * [`virtio_mq`] — the `VIRTIO_NET_F_MQ` multi-queue front end: N
-//!   queue pairs plus the control virtqueue (experiment E19);
-//! * [`virtio_mq_packed`] — the MQ×packed fusion: multi-queue over
-//!   packed rings, including a packed control virtqueue (E20);
-//! * [`mq_ctrl`] — the ctrl-vq command serialization and MQ probe
-//!   choreography shared by every multi-queue front end;
+//!   queue pairs plus the control virtqueue (experiment E19), on either
+//!   ring layout (E20);
+//! * [`mq_ctrl`] — the ctrl-vq command serialization;
 //! * [`multicore`] — per-CPU cost/scheduler contexts so each queue
 //!   pair's NAPI work runs on its own simulated core;
 //! * [`xdma_char`] — the vendor reference character-device driver
@@ -58,13 +54,10 @@ pub mod udp;
 pub mod virtio_blk;
 pub mod virtio_console;
 pub mod virtio_mq;
-pub mod virtio_mq_packed;
 pub mod virtio_net;
-pub mod virtio_packed;
 pub mod xdma_char;
 
 pub use cost::{CostEngine, HostCosts, HOST_CPU_GHZ};
-pub use mq_ctrl::{probe_mq_common, QueueProg};
 pub use multicore::{CpuContext, MultiCoreHost};
 pub use netcfg::{ArpCache, Route, RoutingTable};
 pub use packet::{
@@ -75,9 +68,7 @@ pub use udp::{SockError, UdpStack};
 pub use virtio_blk::{probe_blk, BlkDone, BlkProbeOutcome, BlkSubmit, VirtioBlkDriver};
 pub use virtio_console::VirtioConsoleDriver;
 pub use virtio_mq::{probe_mq, MqProbeOutcome, VirtioNetMqDriver, CTRL_QUEUE_SIZE};
-pub use virtio_mq_packed::{probe_mq_packed, VirtioNetMqPackedDriver};
 pub use virtio_net::{
     probe, ProbeError, ProbeOutcome, RxFrame, VirtioNetDriver, VirtioTransport, XmitResult,
 };
-pub use virtio_packed::{probe_packed, VirtioPackedDriver};
 pub use xdma_char::{TransferSetup, XdmaCharDriver};

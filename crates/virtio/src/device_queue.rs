@@ -16,10 +16,7 @@
 //!   steps for software backends and tests.
 
 use crate::mem::GuestMemory;
-use crate::ring::{
-    vring_need_event, Desc, VirtqueueLayout, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT,
-    USED_F_NO_NOTIFY,
-};
+use crate::ring::{vring_need_event, Desc, VirtqueueLayout, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT};
 
 /// A resolved element of a descriptor chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +82,9 @@ pub struct DeviceQueue {
     layout: VirtqueueLayout,
     /// Next avail entry to process.
     last_avail: u16,
+    /// Avail index fetched at the start of the current walker pass
+    /// ([`Self::begin_pass`]): the pass ends when `last_avail` reaches it.
+    pass_end: u16,
     /// Our published used index.
     used_idx: u16,
     event_idx: bool,
@@ -107,6 +107,7 @@ impl DeviceQueue {
         DeviceQueue {
             layout,
             last_avail: 0,
+            pass_end: 0,
             used_idx: 0,
             event_idx,
             indirect,
@@ -182,6 +183,19 @@ impl DeviceQueue {
     /// Pending chains: how far the driver's avail index is ahead of us.
     pub fn pending<M: GuestMemory>(&self, mem: &M) -> u16 {
         self.fetch_avail_idx(mem).wrapping_sub(self.last_avail)
+    }
+
+    /// Fetch the avail index to start a walker pass over every chain
+    /// published so far; returns how many that is. [`Self::pass_end`]
+    /// holds the index until the next pass.
+    pub(crate) fn begin_pass<M: GuestMemory>(&mut self, mem: &M) -> usize {
+        self.pass_end = self.fetch_avail_idx(mem);
+        self.pass_end.wrapping_sub(self.last_avail) as usize
+    }
+
+    /// The avail index the current walker pass stops at.
+    pub(crate) fn pass_end(&self) -> u16 {
+        self.pass_end
     }
 
     /// Resolve the descriptor chain at avail position `pos` without
@@ -299,15 +313,6 @@ impl DeviceQueue {
             self.interrupts_sent += 1;
         }
         fire
-    }
-
-    /// Set/clear `USED_F_NO_NOTIFY` (device-side doorbell suppression
-    /// while it is already processing).
-    pub fn set_no_notify<M: GuestMemory>(&self, mem: &mut M, suppress: bool) {
-        mem.write_u16(
-            self.layout.used_flags_addr(),
-            if suppress { USED_F_NO_NOTIFY } else { 0 },
-        );
     }
 }
 

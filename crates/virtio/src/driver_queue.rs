@@ -334,6 +334,18 @@ impl DriverQueue {
         }
     }
 
+    /// Ask the device not to interrupt for completions — the
+    /// `virtqueue_disable_cb()` of a queue whose completions are
+    /// harvested lazily: park `used_event` under EVENT_IDX, otherwise set
+    /// `AVAIL_F_NO_INTERRUPT`.
+    pub(crate) fn disable_interrupts<M: GuestMemory>(&self, mem: &mut M) {
+        if self.event_idx {
+            self.park_used_event(mem);
+        } else {
+            self.set_no_interrupt(mem, true);
+        }
+    }
+
     /// Set/clear `AVAIL_F_NO_INTERRUPT` (a polling driver's interrupt
     /// suppression when EVENT_IDX is off).
     pub fn set_no_interrupt<M: GuestMemory>(&self, mem: &mut M, suppress: bool) {

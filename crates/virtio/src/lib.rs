@@ -10,6 +10,9 @@
 //!   as a timed PCIe DMA read), used publishing, interrupt suppression;
 //! * [`ring`] — the `virtq_desc`/`virtq_avail`/`virtq_used` memory layout
 //!   and the EVENT_IDX predicate;
+//! * [`packed`] — the packed layout (VirtIO 1.2 §2.8), both halves;
+//! * [`ring_layout`] — [`DriverRing`]/[`DeviceRing`], one type per side
+//!   over either layout, which every front end and device walker uses;
 //! * [`features`] — feature negotiation and the device-status state
 //!   machine;
 //! * [`pci`] — the modern-PCI transport register file (common config,
@@ -63,6 +66,7 @@ pub mod net;
 pub mod packed;
 pub mod pci;
 pub mod ring;
+pub mod ring_layout;
 pub mod rng;
 
 pub use device_queue::{Chain, ChainBuf, ChainError, DeviceQueue};
@@ -74,3 +78,4 @@ pub use mem::{GuestMemory, VecMemory};
 pub use packed::{PackedBuffer, PackedDesc, PackedDeviceQueue, PackedDriverQueue};
 pub use pci::{CfgEvent, CommonCfg, IsrStatus, QueueRegs, MSI_NO_VECTOR};
 pub use ring::{vring_need_event, Desc, UsedElem, VirtqueueLayout};
+pub use ring_layout::{DeviceRing, DriverRing, RingChain, RingDma, UsedWrite};

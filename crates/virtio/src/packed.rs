@@ -7,8 +7,7 @@
 //! instead of the split layout's avail-index + avail-entry + descriptor
 //! chain walk. For a PCIe device paying ~1.5 µs per read round trip,
 //! that is exactly the kind of hardware-latency saving the paper's
-//! Fig. 4 motivates — quantified structurally by
-//! [`dma_ops_per_transfer`].
+//! Fig. 4 motivates (measured by experiment E17).
 //!
 //! Layout: `N` 16-byte descriptors
 //! `{ le64 addr; le32 len; le16 id; le16 flags }`, plus driver and
@@ -20,7 +19,8 @@
 //! * driver makes a descriptor available: `AVAIL = wrap`, `USED = !wrap`;
 //! * device marks it used: `AVAIL = USED = wrap(device)`.
 
-use crate::driver_queue::QueueError;
+use crate::device_queue::ChainBuf;
+use crate::driver_queue::{BufferSpec, QueueError};
 use crate::mem::GuestMemory;
 
 /// Packed-descriptor flag: buffer continues in the next descriptor.
@@ -87,16 +87,8 @@ impl PackedDesc {
     }
 }
 
-/// A buffer to add (mirrors the split queue's `BufferSpec`).
-#[derive(Clone, Copy, Debug)]
-pub struct PackedBuffer {
-    /// Guest-physical address.
-    pub addr: u64,
-    /// Length.
-    pub len: u32,
-    /// Device-writable?
-    pub writable: bool,
-}
+/// A buffer to add: the same type as the split queue's.
+pub type PackedBuffer = BufferSpec;
 
 /// Driver side of a packed queue.
 #[derive(Clone, Debug)]
@@ -122,6 +114,9 @@ pub struct PackedDeviceQueue {
     wrap: bool,
     /// Index this queue's vf-metrics instruments register under.
     metrics_index: u32,
+    /// Whether completions interrupt the driver (see
+    /// [`PackedDeviceQueue::set_interrupts`]).
+    interrupts: bool,
 }
 
 /// A chain taken by the device.
@@ -129,8 +124,8 @@ pub struct PackedDeviceQueue {
 pub struct PackedChain {
     /// Buffer id (from the chain's last descriptor).
     pub id: u16,
-    /// The buffers in order: `(addr, len, writable)`.
-    pub bufs: Vec<(u64, u32, bool)>,
+    /// The buffers in order.
+    pub bufs: Vec<ChainBuf>,
     /// Ring slot the used entry must be written to.
     pub start_slot: u16,
     /// Wrap value for the used entry.
@@ -168,6 +163,16 @@ impl PackedDriverQueue {
         self.free
     }
 
+    /// Guest-physical base of the descriptor ring.
+    pub(crate) fn ring(&self) -> u64 {
+        self.ring
+    }
+
+    /// Descriptors in the ring.
+    pub(crate) fn size(&self) -> u16 {
+        self.size
+    }
+
     /// Add a chain; returns its buffer id, or `None` if the ring is
     /// full. The head descriptor's ownership flags are written last (a
     /// real driver orders them with a write barrier).
@@ -179,7 +184,6 @@ impl PackedDriverQueue {
         let id = self.next_id;
         self.next_id = (self.next_id + 1) % self.size;
         let head_slot = self.avail_slot;
-        let head_wrap = self.avail_wrap;
         for (i, buf) in bufs.iter().enumerate() {
             let last = i + 1 == bufs.len();
             let slot = self.avail_slot;
@@ -221,7 +225,6 @@ impl PackedDriverQueue {
             // Publish the head (flip AVAIL to the correct value).
             let mut head = PackedDesc::read_at(mem, self.ring, head_slot);
             head.flags ^= PACKED_F_AVAIL;
-            let _ = head_wrap;
             head.write_at(mem, self.ring, head_slot);
         }
         self.free -= n;
@@ -304,6 +307,7 @@ impl PackedDeviceQueue {
             slot: 0,
             wrap: true,
             metrics_index: 0,
+            interrupts: true,
         }
     }
 
@@ -315,10 +319,18 @@ impl PackedDeviceQueue {
         self.metrics_index = index;
     }
 
-    /// Ring base guest-physical address (device models need it to time
-    /// the descriptor DMA they issue).
-    pub fn ring_addr(&self) -> u64 {
-        self.ring
+    /// Whether completions interrupt the driver. The model lays out no
+    /// event-suppression structures, so the policy is fixed when the
+    /// queue is enabled: the packed front ends harvest TX completions
+    /// lazily and never want them signalled, while RX and control
+    /// completions always interrupt.
+    pub(crate) fn set_interrupts(&mut self, on: bool) {
+        self.interrupts = on;
+    }
+
+    /// See [`Self::set_interrupts`].
+    pub(crate) fn interrupts(&self) -> bool {
+        self.interrupts
     }
 
     /// Guest-physical address of descriptor `slot`.
@@ -347,7 +359,11 @@ impl PackedDeviceQueue {
         loop {
             let d = PackedDesc::read_at(mem, self.ring, self.slot);
             vf_metrics::counter_add("virtio.queue.desc_reads", self.metrics_index, 1);
-            bufs.push((d.addr, d.len, d.flags & PACKED_F_WRITE != 0));
+            bufs.push(ChainBuf {
+                addr: d.addr,
+                len: d.len,
+                writable: d.flags & PACKED_F_WRITE != 0,
+            });
             id = d.id;
             self.advance();
             guard += 1;
@@ -364,22 +380,6 @@ impl PackedDeviceQueue {
         })
     }
 
-    /// Take up to `max` available chains in one call — the fetch
-    /// pattern of the pipelined walker (E20), which drains the window
-    /// of published descriptors before overlapping their payload DMA,
-    /// instead of polling one chain per FSM pass. Each element still
-    /// costs the device one descriptor read; the caller times them.
-    pub fn take_burst<M: GuestMemory>(&mut self, mem: &M, max: usize) -> Vec<PackedChain> {
-        let mut chains = Vec::new();
-        while chains.len() < max {
-            match self.try_take(mem) {
-                Some(c) => chains.push(c),
-                None => break,
-            }
-        }
-        chains
-    }
-
     fn advance(&mut self) {
         self.slot += 1;
         if self.slot == self.size {
@@ -391,35 +391,30 @@ impl PackedDeviceQueue {
     /// Publish a used entry for `chain`: a single descriptor write at
     /// the chain's start slot (AVAIL = USED = wrap).
     pub fn complete<M: GuestMemory>(&self, mem: &mut M, chain: &PackedChain, written: u32) {
+        self.write_used(mem, chain.id, chain.start_slot, chain.wrap, written);
+    }
+
+    /// [`Self::complete`] from the chain's id, start slot and wrap value.
+    pub(crate) fn write_used<M: GuestMemory>(
+        &self,
+        mem: &mut M,
+        id: u16,
+        start_slot: u16,
+        wrap: bool,
+        written: u32,
+    ) {
         let mut flags = 0u16;
-        if chain.wrap {
+        if wrap {
             flags |= PACKED_F_AVAIL | PACKED_F_USED;
         }
         PackedDesc {
             addr: 0,
             len: written,
-            id: chain.id,
+            id,
             flags,
         }
-        .write_at(mem, self.ring, chain.start_slot);
+        .write_at(mem, self.ring, start_slot);
         vf_metrics::counter_add(vf_metrics::names::QUEUE_USED, self.metrics_index, 1);
-    }
-}
-
-/// Structural DMA-operation counts per request-response transfer, for
-/// the split vs packed comparison (the extension ablation): `(reads,
-/// writes)` the device performs against host memory for a chain of
-/// `chain_len` descriptors, excluding the payload itself.
-pub fn dma_ops_per_transfer(chain_len: usize, packed: bool) -> (usize, usize) {
-    if packed {
-        // Reads: one per descriptor (ownership rides in the flags).
-        // Writes: one used descriptor.
-        (chain_len, 1)
-    } else {
-        // Reads: avail idx + avail entry + one per descriptor.
-        // Writes: used entry + used idx (+ avail_event under EVENT_IDX,
-        // folded into the idx write here).
-        (2 + chain_len, 2)
     }
 }
 
@@ -453,7 +448,14 @@ mod tests {
         assert_eq!(drv.num_free(), 7);
         let chain = dev.try_take(&mem).unwrap();
         assert_eq!(chain.id, id);
-        assert_eq!(chain.bufs, vec![(0x5000, 64, false)]);
+        assert_eq!(
+            chain.bufs,
+            vec![ChainBuf {
+                addr: 0x5000,
+                len: 64,
+                writable: false
+            }]
+        );
         dev.complete(&mut mem, &chain, 0);
         let used = drv.pop_used(&mem).unwrap();
         assert_eq!(used.id, id);
@@ -495,7 +497,7 @@ mod tests {
         let chain = dev.try_take(&mem).unwrap();
         assert_eq!(chain.id, id);
         assert_eq!(chain.bufs.len(), 3);
-        assert!(chain.bufs[2].2);
+        assert!(chain.bufs[2].writable);
         dev.complete(&mut mem, &chain, 500);
         let used = drv.pop_used(&mem).unwrap();
         assert_eq!(used.len, 500);
@@ -520,7 +522,7 @@ mod tests {
                 .unwrap();
             let chain = dev.try_take(&mem).unwrap();
             assert_eq!(chain.id, id);
-            assert_eq!(chain.bufs[0].0, 0x5000 + i as u64 * 64);
+            assert_eq!(chain.bufs[0].addr, 0x5000 + i as u64 * 64);
             dev.complete(&mut mem, &chain, i);
             assert_eq!(drv.pop_used(&mem).unwrap().len, i);
         }
@@ -611,38 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn take_burst_drains_window_in_order() {
-        let (mut mem, mut drv, mut dev) = setup(16);
-        let mut ids = Vec::new();
-        for i in 0..6u64 {
-            ids.push(
-                drv.add(
-                    &mut mem,
-                    &[PackedBuffer {
-                        addr: 0x5000 + i * 128,
-                        len: 128,
-                        writable: false,
-                    }],
-                )
-                .unwrap(),
-            );
-        }
-        // Bounded burst takes the oldest chains, in publish order.
-        let first = dev.take_burst(&mem, 4);
-        assert_eq!(first.iter().map(|c| c.id).collect::<Vec<_>>(), ids[..4]);
-        // The remainder (and nothing more) on the next burst.
-        let rest = dev.take_burst(&mem, 16);
-        assert_eq!(rest.iter().map(|c| c.id).collect::<Vec<_>>(), ids[4..]);
-        assert!(dev.take_burst(&mem, 16).is_empty());
-        for chain in first.iter().chain(&rest) {
-            dev.complete(&mut mem, chain, 0);
-        }
-        for expect in &ids {
-            assert_eq!(drv.pop_used(&mem).unwrap().id, *expect);
-        }
-    }
-
-    #[test]
     fn add_batch_longer_than_ring_is_rejected() {
         // Same regression class as the split queue's publish_batch: a
         // burst with more descriptors than free slots must be rejected
@@ -680,16 +650,5 @@ mod tests {
         let err = drv.add_batch(&mut mem, &[&one, &[]]).unwrap_err();
         assert_eq!(err, QueueError::EmptyChain);
         assert_eq!(drv.num_free(), 4);
-    }
-
-    #[test]
-    fn dma_op_counts_favor_packed() {
-        // The structural argument for the extension: fewer device
-        // round-trips per transfer.
-        let (sr, sw) = dma_ops_per_transfer(2, false);
-        let (pr, pw) = dma_ops_per_transfer(2, true);
-        assert_eq!((sr, sw), (4, 2));
-        assert_eq!((pr, pw), (2, 1));
-        assert!(pr < sr && pw < sw);
     }
 }

@@ -241,7 +241,7 @@ mod packed_props {
                 let chain = dev.try_take(&mem).expect("pending chain");
                 prop_assert_eq!(chain.id, id);
                 prop_assert_eq!(chain.bufs.len(), len);
-                prop_assert!(chain.bufs.last().unwrap().2, "last buffer writable");
+                prop_assert!(chain.bufs.last().unwrap().writable, "last buffer writable");
                 dev.complete(&mut mem, &chain, 1);
                 prop_assert_eq!(drv.pop_used(&mem).unwrap().id, id);
             }
@@ -305,12 +305,7 @@ mod layout_equivalence {
                 let schain = sdev.pop_chain(&smem).unwrap().unwrap();
                 let pchain = pdev.try_take(&pmem).unwrap();
                 // Identical buffer lists, element by element.
-                prop_assert_eq!(schain.bufs.len(), pchain.bufs.len());
-                for (sb, pb) in schain.bufs.iter().zip(&pchain.bufs) {
-                    prop_assert_eq!(sb.addr, pb.0);
-                    prop_assert_eq!(sb.len, pb.1);
-                    prop_assert_eq!(sb.writable, pb.2);
-                }
+                prop_assert_eq!(&schain.bufs, &pchain.bufs);
                 // Complete on both; both drivers observe it.
                 sdev.complete(&mut smem, schain.head, 5);
                 pdev.complete(&mut pmem, &pchain, 5);

@@ -9,7 +9,7 @@
 
 use vf_pcie::{LinkConfig, PcieLink};
 use vf_sim::Time;
-use vf_virtio::packed::{dma_ops_per_transfer, PackedBuffer, PackedDeviceQueue, PackedDriverQueue};
+use vf_virtio::packed::{PackedBuffer, PackedDeviceQueue, PackedDriverQueue};
 use vf_virtio::{GuestMemory, VecMemory};
 
 fn main() {
@@ -43,8 +43,8 @@ fn main() {
         let chain = dev.try_take(&mem).expect("chain visible");
         assert_eq!(chain.id, id);
         // Device echoes the request into the response buffer.
-        let data = mem.read_vec(chain.bufs[0].0, 8);
-        mem.write(chain.bufs[1].0, &data);
+        let data = mem.read_vec(chain.bufs[0].addr, 8);
+        mem.write(chain.bufs[1].addr, &data);
         dev.complete(&mut mem, &chain, 8);
         let used = drv.pop_used(&mem).expect("completion visible");
         assert_eq!(used.len, 8);
@@ -53,10 +53,14 @@ fn main() {
     }
     println!("packed ring: {served} chains served, all verified\n");
 
-    // The structural argument: device DMA round trips per transfer.
+    // The structural argument: device DMA round trips per transfer,
+    // payload excluded. A split ring costs the avail index, the avail
+    // entry and one read per descriptor, then the used entry and used
+    // index; a packed ring one read per descriptor (the flags carry
+    // availability) and one used-descriptor write.
     println!("device DMA operations per 2-descriptor transfer (reads, writes):");
-    let (sr, sw) = dma_ops_per_transfer(2, false);
-    let (pr, pw) = dma_ops_per_transfer(2, true);
+    let (sr, sw) = (2 + 2, 2);
+    let (pr, pw) = (2, 1);
     println!("  split ring : {sr} reads, {sw} writes");
     println!("  packed ring: {pr} reads, {pw} writes");
 

@@ -215,73 +215,78 @@ fn firewall_contains_spoofed_traffic() {
 }
 
 #[test]
-fn oversized_rx_frame_panics_loudly() {
-    // A response larger than the posted buffer is a contract violation
-    // the device asserts on (it would corrupt host memory on silicon).
-    let result = std::panic::catch_unwind(|| {
-        let mut device = VirtioFpgaDevice::new(
-            Persona::Net {
-                cfg: VirtioNetConfig::testbed_default(),
-            },
-            0,
-            &[8, 8],
-            Box::new(UdpEcho::default()),
-        );
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        use vf_virtio::pci::common;
-        use vf_virtio::status;
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        device.mmio_write(vf_fpga::bar0::COMMON + common::DRIVER_FEATURE_SELECT, 4, 1);
-        device.mmio_write(vf_fpga::bar0::COMMON + common::DRIVER_FEATURE, 4, 1);
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
-        let base = mem.alloc(
-            VirtqueueLayout::contiguous(0, 8).total_bytes() as usize,
-            4096,
-        );
-        let layout = VirtqueueLayout::contiguous(base, 8);
-        device.mmio_write(vf_fpga::bar0::COMMON + common::QUEUE_SELECT, 2, 0);
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::QUEUE_DESC_LO,
-            4,
-            layout.desc,
-        );
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::QUEUE_DRIVER_LO,
-            4,
-            layout.avail,
-        );
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::QUEUE_DEVICE_LO,
-            4,
-            layout.used,
-        );
-        device.mmio_write(vf_fpga::bar0::COMMON + common::QUEUE_ENABLE, 2, 1);
-        let mut rx = DriverQueue::new(&mut mem, layout, false);
-        let tiny = mem.alloc(64, 64);
-        rx.add_and_publish(&mut mem, &[BufferSpec::writable(tiny, 64)])
-            .unwrap();
-        let resp = vf_fpga::PendingResponse {
-            data: vec![0u8; 500], // 500 + 12 > 64
-            ready_at: Time::ZERO,
-            csum_valid: false,
-        };
-        device.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link)
-    });
-    assert!(result.is_err(), "oversized delivery must not pass silently");
+fn oversized_rx_frame_is_dropped_not_written() {
+    // A response larger than the posted buffer must not corrupt host
+    // memory past it, nor take the device down: the buffer is handed
+    // back empty and the frame counted as dropped.
+    let mut device = VirtioFpgaDevice::new(
+        Persona::Net {
+            cfg: VirtioNetConfig::testbed_default(),
+        },
+        0,
+        &[8, 8],
+        Box::new(UdpEcho::default()),
+    );
+    let mut mem = HostMemory::testbed_default();
+    let mut link = PcieLink::new(LinkConfig::gen2_x2());
+    use vf_virtio::pci::common;
+    use vf_virtio::status;
+    device.mmio_write(
+        vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
+        1,
+        status::ACKNOWLEDGE as u64,
+    );
+    device.mmio_write(
+        vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
+        1,
+        (status::ACKNOWLEDGE | status::DRIVER) as u64,
+    );
+    device.mmio_write(vf_fpga::bar0::COMMON + common::DRIVER_FEATURE_SELECT, 4, 1);
+    device.mmio_write(vf_fpga::bar0::COMMON + common::DRIVER_FEATURE, 4, 1);
+    device.mmio_write(
+        vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
+        1,
+        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
+    );
+    let base = mem.alloc(
+        VirtqueueLayout::contiguous(0, 8).total_bytes() as usize,
+        4096,
+    );
+    let layout = VirtqueueLayout::contiguous(base, 8);
+    device.mmio_write(vf_fpga::bar0::COMMON + common::QUEUE_SELECT, 2, 0);
+    device.mmio_write(
+        vf_fpga::bar0::COMMON + common::QUEUE_DESC_LO,
+        4,
+        layout.desc,
+    );
+    device.mmio_write(
+        vf_fpga::bar0::COMMON + common::QUEUE_DRIVER_LO,
+        4,
+        layout.avail,
+    );
+    device.mmio_write(
+        vf_fpga::bar0::COMMON + common::QUEUE_DEVICE_LO,
+        4,
+        layout.used,
+    );
+    device.mmio_write(vf_fpga::bar0::COMMON + common::QUEUE_ENABLE, 2, 1);
+    let mut rx = DriverQueue::new(&mut mem, layout, false);
+    let tiny = mem.alloc(64, 64);
+    let after = mem.alloc(1024, 64);
+    rx.add_and_publish(&mut mem, &[BufferSpec::writable(tiny, 64)])
+        .unwrap();
+    let resp = vf_fpga::PendingResponse {
+        data: vec![0xEEu8; 500], // 500 + 12 > 64
+        ready_at: Time::ZERO,
+        csum_valid: false,
+    };
+    let out = device.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+    assert!(!out.delivered, "oversized delivery must not pass silently");
+    assert_eq!(device.stats.rx_dropped, 1);
+    assert_eq!(device.stats.rx_frames, 0);
+    assert!(mem.slice(tiny, 64).iter().all(|&b| b == 0));
+    assert!(mem.slice(after, 1024).iter().all(|&b| b == 0));
+    assert_eq!(rx.pop_used(&mut mem).expect("buffer handed back").len, 0);
 }
 
 /// The posted-credit conservation watchdog catches a leaked credit.
