@@ -2256,56 +2256,75 @@ mod tests {
         assert!(echoes.iter().all(|e| *e == echoes[0]));
     }
 
-    /// Publish a chain whose descriptor then links past the end of the
-    /// table: a chain the device cannot resolve.
+    /// Publish a chain the device cannot resolve. On a split ring its
+    /// descriptor links past the end of the table. Packed descriptors
+    /// name no indices, so on a packed ring every descriptor is chained
+    /// with `NEXT` instead, and the chain runs longer than the ring.
     fn publish_unresolvable(mem: &mut HostMemory, ring: &mut DriverRing) {
         let head = ring.add(mem, &[BufferSpec::writable(0, 64)]).unwrap();
-        let DriverRing::Split(q) = ring else {
-            unreachable!("packed rings name no descriptor indices")
-        };
-        let layout = q.layout();
-        let mut desc = vf_virtio::Desc::read_at(mem, layout.desc, head);
-        desc.flags |= vf_virtio::ring::DESC_F_NEXT;
-        desc.next = layout.size + 7;
-        desc.write_at(mem, layout.desc, head);
+        match ring {
+            DriverRing::Split(q) => {
+                let layout = q.layout();
+                let mut desc = vf_virtio::Desc::read_at(mem, layout.desc, head);
+                desc.flags |= vf_virtio::ring::DESC_F_NEXT;
+                desc.next = layout.size + 7;
+                desc.write_at(mem, layout.desc, head);
+            }
+            DriverRing::Packed(_) => {
+                let (size, ring_addr, _, _) = ring.programming();
+                for slot in 0..size {
+                    let mut desc = vf_virtio::PackedDesc::read_at(mem, ring_addr, slot);
+                    desc.flags =
+                        vf_virtio::packed::PACKED_F_AVAIL | vf_virtio::packed::PACKED_F_NEXT;
+                    desc.write_at(mem, ring_addr, slot);
+                }
+            }
+        }
     }
 
     #[test]
     fn unresolvable_chain_stops_the_pass() {
-        // Split rings only: packed descriptors name no indices, and the
-        // packed walk's ring-size guard is a separate matter.
-        for depth in [1, 4] {
-            let mut dev = net_device();
-            let mut mem = HostMemory::testbed_default();
-            let mut cfg = LinkConfig::gen2_x2();
-            cfg.max_outstanding_np = depth;
-            let mut link = PcieLink::new(cfg);
-            let (mut rx, mut tx) = bring_up(&mut dev, &mut mem, 16, false);
-            publish_unresolvable(&mut mem, &mut tx);
-            publish_frames(&mut mem, &mut tx, &[udp_frame(64)]);
-            let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
-            assert_eq!(out.chains, 0, "nothing past the bad chain");
-            assert!(out.responses.is_empty());
+        for packed in [false, true] {
+            for depth in [1, 4] {
+                let mut dev = net_device();
+                let mut mem = HostMemory::testbed_default();
+                let mut cfg = LinkConfig::gen2_x2();
+                cfg.max_outstanding_np = depth;
+                let mut link = PcieLink::new(cfg);
+                let (mut rx, mut tx) = bring_up(&mut dev, &mut mem, 16, packed);
+                // A good frame queued behind the bad chain. Forging a packed
+                // ring rewrites every slot, so there it goes in first.
+                if packed {
+                    publish_frames(&mut mem, &mut tx, &[udp_frame(64)]);
+                    publish_unresolvable(&mut mem, &mut tx);
+                } else {
+                    publish_unresolvable(&mut mem, &mut tx);
+                    publish_frames(&mut mem, &mut tx, &[udp_frame(64)]);
+                }
+                let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
+                assert_eq!(out.chains, 0, "nothing past the bad chain");
+                assert!(out.responses.is_empty());
 
-            publish_unresolvable(&mut mem, &mut rx);
-            let resp = PendingResponse {
-                data: udp_frame(64),
-                ready_at: Time::ZERO,
-                csum_valid: false,
-            };
-            let out = dev.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+                publish_unresolvable(&mut mem, &mut rx);
+                let resp = PendingResponse {
+                    data: udp_frame(64),
+                    ready_at: Time::ZERO,
+                    csum_valid: false,
+                };
+                let out = dev.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+                assert!(!out.delivered);
+                assert_eq!(dev.stats.rx_dropped, 1);
+                assert!(rx.pop_used(&mut mem).is_none());
+            }
+            let mut dev = mq_net_device(2);
+            let mut mem = HostMemory::testbed_default();
+            let mut link = PcieLink::new(LinkConfig::gen2_x2());
+            let (mut ctrl, ctrl_q) = ctrl_bring_up(&mut dev, &mut mem, 2, packed);
+            publish_unresolvable(&mut mem, &mut ctrl);
+            let out = dev.process_ctrl_notify(Time::ZERO, ctrl_q, &mut mem, &mut link);
             assert!(!out.delivered);
-            assert_eq!(dev.stats.rx_dropped, 1);
-            assert!(rx.pop_used(&mut mem).is_none());
+            assert_eq!(dev.stats.ctrl_commands, 0);
         }
-        let mut dev = mq_net_device(2);
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (mut ctrl, ctrl_q) = ctrl_bring_up(&mut dev, &mut mem, 2, false);
-        publish_unresolvable(&mut mem, &mut ctrl);
-        let out = dev.process_ctrl_notify(Time::ZERO, ctrl_q, &mut mem, &mut link);
-        assert!(!out.delivered);
-        assert_eq!(dev.stats.ctrl_commands, 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * driver makes a descriptor available: `AVAIL = wrap`, `USED = !wrap`;
 //! * device marks it used: `AVAIL = USED = wrap(device)`.
 
-use crate::device_queue::ChainBuf;
+use crate::device_queue::{ChainBuf, ChainError};
 use crate::driver_queue::{BufferSpec, QueueError};
 use crate::mem::GuestMemory;
 
@@ -346,10 +346,28 @@ impl PackedDeviceQueue {
     /// Take the next available chain, if any. One descriptor read per
     /// chain element — no separate avail structure (the packed layout's
     /// advantage for DMA devices).
+    ///
+    /// # Panics
+    ///
+    /// If the chain is longer than the ring. The device walkers take
+    /// chains through [`DeviceRing`](crate::DeviceRing), which reports
+    /// that as [`ChainError::TooLong`] instead.
     pub fn try_take<M: GuestMemory>(&mut self, mem: &M) -> Option<PackedChain> {
+        self.take_chain(mem)
+            .expect("packed chain exceeds ring size")
+    }
+
+    /// [`Self::try_take`] for guest-controlled rings: a chain longer than
+    /// the ring (every descriptor chained with `NEXT`, a driver bug or
+    /// corruption) is [`ChainError::TooLong`] and leaves the queue where
+    /// it was, like an unresolvable split chain.
+    pub(crate) fn take_chain<M: GuestMemory>(
+        &mut self,
+        mem: &M,
+    ) -> Result<Option<PackedChain>, ChainError> {
         let head = PackedDesc::read_at(mem, self.ring, self.slot);
         if !head.is_avail(self.wrap) {
-            return None;
+            return Ok(None);
         }
         let start_slot = self.slot;
         let wrap = self.wrap;
@@ -367,17 +385,21 @@ impl PackedDeviceQueue {
             id = d.id;
             self.advance();
             guard += 1;
-            assert!(guard <= self.size, "packed chain exceeds ring size");
+            if guard > self.size {
+                self.slot = start_slot;
+                self.wrap = wrap;
+                return Err(ChainError::TooLong);
+            }
             if d.flags & PACKED_F_NEXT == 0 {
                 break;
             }
         }
-        Some(PackedChain {
+        Ok(Some(PackedChain {
             id,
             bufs,
             start_slot,
             wrap,
-        })
+        }))
     }
 
     fn advance(&mut self) {
@@ -430,6 +452,23 @@ mod tests {
             PackedDriverQueue::new(0x1000, size),
             PackedDeviceQueue::new(0x1000, size),
         )
+    }
+
+    #[test]
+    fn chain_longer_than_ring_is_an_error_not_a_panic() {
+        let (mut mem, _drv, mut dev) = setup(8);
+        for slot in 0..8 {
+            PackedDesc {
+                addr: 0x5000,
+                len: 64,
+                id: slot,
+                flags: PACKED_F_AVAIL | PACKED_F_NEXT,
+            }
+            .write_at(&mut mem, 0x1000, slot);
+        }
+        assert_eq!(dev.take_chain(&mem).unwrap_err(), ChainError::TooLong);
+        assert_eq!(dev.take_chain(&mem).unwrap_err(), ChainError::TooLong);
+        assert_eq!(dev.next_slot(), 0, "the queue stays where it was");
     }
 
     #[test]

@@ -249,7 +249,7 @@ impl DeviceRing {
         match self {
             DeviceRing::Split(q) if q.last_avail() == q.pass_end() => Ok(None),
             DeviceRing::Split(q) => Self::take_split(q, mem).map(Some),
-            DeviceRing::Packed(q) => Ok(Self::take_packed(q, mem).map(|chain| {
+            DeviceRing::Packed(q) => Ok(Self::take_packed(q, mem)?.map(|chain| {
                 let addr = q.desc_addr(chain.slot);
                 let read = RingDma {
                     addr,
@@ -294,7 +294,7 @@ impl DeviceRing {
             DeviceRing::Split(q) => {
                 Self::take_split(q, mem).map(|(chain, read)| Some((chain, Some(read))))
             }
-            DeviceRing::Packed(q) => Ok(Self::take_packed(q, mem).map(|chain| (chain, None))),
+            DeviceRing::Packed(q) => Ok(Self::take_packed(q, mem)?.map(|chain| (chain, None))),
         }
     }
 
@@ -317,9 +317,11 @@ impl DeviceRing {
         Ok((chain, read))
     }
 
-    fn take_packed<M: GuestMemory>(q: &mut PackedDeviceQueue, mem: &M) -> Option<RingChain> {
-        let c = q.try_take(mem)?;
-        Some(RingChain {
+    fn take_packed<M: GuestMemory>(
+        q: &mut PackedDeviceQueue,
+        mem: &M,
+    ) -> Result<Option<RingChain>, ChainError> {
+        Ok(q.take_chain(mem)?.map(|c| RingChain {
             descs: c.bufs.len(),
             chain: Chain {
                 head: c.id,
@@ -327,7 +329,7 @@ impl DeviceRing {
             },
             slot: c.start_slot,
             wrap: c.wrap,
-        })
+        }))
     }
 
     /// Publish the completion of `chain` with `written` bytes; returns

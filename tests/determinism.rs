@@ -317,3 +317,130 @@ fn mq_single_pair_matches_e12_pipelined_throughput() {
         r12.pps
     );
 }
+
+/// A result flattened field by field: each field's name with its
+/// integers, and its floats and latency samples by their exact bits.
+type Fields = Vec<(&'static str, Vec<u64>)>;
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Host memory recycles its backing per thread: a world built after
+/// another one on the same thread reuses the memory that world dropped.
+/// Each runner, run twice back to back on one thread (the second run on
+/// the recycled backing) and once on a freshly spawned thread (a fresh
+/// backing), must give the same result field by field.
+#[test]
+fn reruns_on_recycled_host_memory_are_bit_identical() {
+    use virtio_fpga::{run_blk, run_mq, run_tenants, ArbiterPolicy, BlkPattern};
+
+    fn tenants() -> Fields {
+        let mut cfg = TestbedConfig::paper(DriverKind::VirtioTenant, 256, 512, 7);
+        cfg.options.mq_queue_pairs = 64;
+        cfg.options.tenant_policy = ArbiterPolicy::WeightedShare;
+        cfg.options.tenant_vhost = true;
+        let r = run_tenants(&cfg, 16);
+        vec![
+            ("tenants", vec![u64::from(r.tenants)]),
+            ("depth", vec![r.depth as u64]),
+            ("vhost", vec![u64::from(r.vhost)]),
+            ("packets", vec![r.packets as u64]),
+            ("pps", bits(&[r.pps])),
+            ("per_tenant_pps", bits(&r.per_tenant_pps)),
+            (
+                "per_tenant_latency",
+                r.per_tenant_latency
+                    .iter()
+                    .flat_map(|s| bits(s.raw()))
+                    .collect(),
+            ),
+            ("jain_index", bits(&[r.jain_index])),
+            ("doorbells", vec![r.doorbells]),
+            ("irqs", vec![r.irqs]),
+            ("verify_failures", vec![r.verify_failures]),
+            ("link_util", bits(&[r.link_util_up, r.link_util_down])),
+            ("arb", vec![r.arb_grants, r.arb_queued]),
+        ]
+    }
+
+    fn mq_packed() -> Fields {
+        let mut cfg = TestbedConfig::paper(DriverKind::VirtioMqPacked, 256, 1_000, 11);
+        cfg.options.mq_queue_pairs = 8;
+        cfg.options.pipeline_depth = 4;
+        let r = run_mq(&cfg, 16);
+        vec![
+            ("queues", vec![u64::from(r.queues)]),
+            ("depth", vec![r.depth as u64]),
+            ("packets", vec![r.packets as u64]),
+            ("pps", bits(&[r.pps])),
+            (
+                "per_queue_latency",
+                r.per_queue_latency
+                    .iter()
+                    .flat_map(|s| bits(s.raw()))
+                    .collect(),
+            ),
+            ("doorbells", vec![r.doorbells]),
+            ("irqs", vec![r.irqs]),
+            ("verify_failures", vec![r.verify_failures]),
+            ("link_util", bits(&[r.link_util_up, r.link_util_down])),
+            ("peak_np_inflight", vec![r.peak_np_inflight]),
+        ]
+    }
+
+    fn blk_seq_read() -> Fields {
+        let cfg = TestbedConfig::paper(DriverKind::VirtioBlk, 128 << 10, 64, 24);
+        let r = run_blk(&cfg, BlkPattern::SequentialRead, 128 << 10, 8);
+        vec![
+            ("io_bytes", vec![u64::from(r.io_bytes)]),
+            ("depth", vec![r.depth as u64]),
+            ("requests", vec![r.requests as u64]),
+            ("rates", bits(&[r.iops, r.mbps])),
+            ("latency", bits(r.latency.raw())),
+            ("doorbells", vec![r.doorbells]),
+            ("irqs", vec![r.irqs]),
+            ("verify_failures", vec![r.verify_failures]),
+            ("link_util", bits(&[r.link_util_up, r.link_util_down])),
+        ]
+    }
+
+    fn testbed_cell() -> Fields {
+        let r = Testbed::new(TestbedConfig::paper(DriverKind::Virtio, 1024, 500, 42_003)).run();
+        vec![
+            ("payload", vec![r.payload as u64]),
+            ("packets", vec![r.packets as u64]),
+            ("seed", vec![r.seed]),
+            ("total", bits(r.total.raw())),
+            ("hw", bits(r.hw.raw())),
+            ("sw", bits(r.sw.raw())),
+            ("proc", bits(r.proc.raw())),
+            ("verify_failures", vec![r.verify_failures]),
+            ("notifications", vec![r.notifications]),
+            ("irqs", vec![r.irqs]),
+            ("desc_reads", vec![r.desc_reads]),
+        ]
+    }
+
+    for (name, run) in [
+        ("run_tenants", tenants as fn() -> Fields),
+        ("run_mq", mq_packed),
+        ("run_blk", blk_seq_read),
+        ("Testbed::run", testbed_cell),
+    ] {
+        let first = run();
+        let recycled = run();
+        let fresh = std::thread::spawn(run)
+            .join()
+            .unwrap_or_else(|_| panic!("{name} panicked on a fresh thread"));
+        for (label, other) in [
+            ("rerun on this thread", &recycled),
+            ("fresh thread", &fresh),
+        ] {
+            assert_eq!(first.len(), other.len());
+            for ((field, want), (_, got)) in first.iter().zip(other) {
+                assert_eq!(want, got, "{name}: {field} differs on the {label}");
+            }
+        }
+    }
+}
