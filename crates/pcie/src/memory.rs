@@ -82,8 +82,12 @@ impl HostMemory {
     }
 
     fn offset(&self, addr: u64, len: usize) -> usize {
+        let in_window = addr >= self.base
+            && addr
+                .checked_add(len as u64)
+                .is_some_and(|end| end <= self.end());
         assert!(
-            addr >= self.base && addr + len as u64 <= self.end(),
+            in_window,
             "host memory access out of range: {addr:#x}+{len:#x} not in [{:#x}, {:#x})",
             self.base,
             self.end()
@@ -310,6 +314,15 @@ mod tests {
     fn past_end_panics() {
         let m = HostMemory::new(0, 64);
         let _ = m.read_u32(62);
+    }
+
+    /// A range whose end overflows `u64` is out of the window, not a
+    /// wrapped sum that slips past the check.
+    #[test]
+    #[should_panic(expected = "host memory access out of range")]
+    fn range_end_past_u64_max_panics_in_range_check() {
+        let m = HostMemory::testbed_default();
+        let _ = m.read_u32(u64::MAX - 1);
     }
 
     #[test]
