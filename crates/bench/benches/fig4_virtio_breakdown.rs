@@ -35,7 +35,6 @@ fn bench_fig4(c: &mut Criterion) {
         packets: 10_000,
         seed: 42,
         threads: vf_sim::default_threads(),
-        shards: 1,
     });
     println!(
         "\nFig. 4 — {}",

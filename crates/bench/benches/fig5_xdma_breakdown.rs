@@ -30,7 +30,6 @@ fn bench_fig5(c: &mut Criterion) {
         packets: 10_000,
         seed: 42,
         threads: vf_sim::default_threads(),
-        shards: 1,
     });
     println!(
         "\nFig. 5 — {}",

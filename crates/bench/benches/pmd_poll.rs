@@ -49,7 +49,6 @@ fn bench_pmd_roundtrip(c: &mut Criterion) {
         packets: 5_000,
         seed: 42,
         threads: vf_sim::default_threads(),
-        shards: 1,
     });
     println!("{}", render_pmd(&rows));
     let _ = PAPER_PAYLOADS; // payload list documented above

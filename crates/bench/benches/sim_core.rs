@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vf_sim::baseline::HeapSimulation;
-use vf_sim::{Outbox, Scheduler, ShardWorld, ShardedSimulation, Simulation, Time, World};
+use vf_sim::{Scheduler, Simulation, Time, World};
 use virtio_fpga::{run_mq, run_tenants, DriverKind, TestbedConfig};
 
 /// Self-rescheduling churn world. Even messages are persistent chains
@@ -194,212 +194,10 @@ fn bench_speedup_floor(_c: &mut Criterion) {
     }
 }
 
-// ---------------------------------------------------------------------
-// E25: sharded-engine wall-clock (vf_sim::shard)
-// ---------------------------------------------------------------------
-
-/// Decomposable logical-process workload at E19/E21 scale: `n` LPs,
-/// each running a self-rescheduling chain of `steps` events ~2 µs
-/// apart, with every 8th step also posting a one-shot message to the
-/// next LP around the ring at least one 100 µs link-lookahead away.
-/// Each delivery burns `work` xorshift rounds — the stand-in for the
-/// µs-scale model work (stack, driver, link) a real E19/E21 event does.
-///
-/// LPs are grouped contiguously into shards, so ring traffic crosses a
-/// shard boundary only at group edges — the per-queue-pair decomposition
-/// the tentpole targets, with the same chunky windows (lookahead ≫
-/// event spacing) a physical link grants.
-struct LpGroup {
-    first: usize,
-    count: usize,
-    n: usize,
-    steps: u32,
-    work: u32,
-    /// Order-independent checksum over `(lp, step, now)`: the delivered
-    /// *set* is schedule-determined, so 1-shard and N-shard runs must
-    /// agree even where same-instant tie orders differ.
-    sum: u64,
-    delivered: u64,
-}
-
-/// `(lp, step, is_cross)` — chain steps reschedule, cross posts absorb.
-type LpMsg = (u32, u32, bool);
-
-const LP_LOOKAHEAD: Time = Time::from_us(100);
-
-fn lp_mix(a: u64, b: u64) -> u64 {
-    let mut x = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b;
-    x ^= x >> 33;
-    x.wrapping_mul(0xFF51_AFD7_ED55_8CCD)
-}
-
-/// Deterministic 1–3 µs chain spacing from `(lp, step)`.
-fn lp_delay(lp: u32, step: u32) -> Time {
-    Time::from_ps(1_000_000 + lp_mix(lp as u64, step as u64) % 2_000_000)
-}
-
-impl LpGroup {
-    fn burn(&mut self, lp: u32, step: u32, now: Time) {
-        let mut x = lp_mix(lp as u64, step as u64) | 1;
-        for _ in 0..self.work {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-        }
-        self.sum = self
-            .sum
-            .wrapping_add(lp_mix(x, now.as_ps()) ^ (lp as u64) << 32 ^ step as u64);
-        self.delivered += 1;
-    }
-}
-
-impl ShardWorld for LpGroup {
-    type Msg = LpMsg;
-
-    fn deliver(
-        &mut self,
-        now: Time,
-        (lp, step, cross): LpMsg,
-        sched: &mut Scheduler<LpMsg>,
-        net: &mut Outbox<'_, LpMsg>,
-    ) {
-        self.burn(lp, step, now);
-        if cross {
-            return;
-        }
-        if step + 1 < self.steps {
-            sched.at(now + lp_delay(lp, step), (lp, step + 1, false));
-        }
-        if step % 8 == 0 {
-            let dst = (lp as usize + 1) % self.n;
-            let at = now + LP_LOOKAHEAD + Time::from_ps(lp_mix(step as u64, lp as u64) % 500_000);
-            let msg = (dst as u32, step, true);
-            if dst >= self.first && dst < self.first + self.count {
-                sched.at(at, msg);
-            } else {
-                net.send(dst / self.count, at, msg);
-            }
-        }
-    }
-}
-
-/// Build `n` LPs grouped into `shards` contiguous shard worlds, chains
-/// staggered by LP index, and run to idle with `threads` workers.
-/// Returns (wall seconds, checksum, events delivered).
-fn run_lp_shards(
-    n: usize,
-    shards: usize,
-    threads: usize,
-    steps: u32,
-    work: u32,
-) -> (f64, u64, u64) {
-    assert_eq!(n % shards, 0, "contiguous grouping needs equal shards");
-    let per = n / shards;
-    let worlds = (0..shards)
-        .map(|s| LpGroup {
-            first: s * per,
-            count: per,
-            n,
-            steps,
-            work,
-            sum: 0,
-            delivered: 0,
-        })
-        .collect();
-    let mut sim = ShardedSimulation::new(worlds, LP_LOOKAHEAD).with_threads(threads);
-    for lp in 0..n {
-        sim.schedule_at(
-            lp / per,
-            Time::from_us(1) + Time::from_ns(lp as u64),
-            (lp as u32, 0, false),
-        );
-    }
-    let t = Instant::now();
-    let outcome = sim.run_to_idle();
-    let wall = t.elapsed().as_secs_f64();
-    assert_eq!(outcome, vf_sim::RunOutcome::Idle);
-    let (sum, delivered) = (0..shards).fold((0u64, 0u64), |(s, d), i| {
-        let w = sim.world(i);
-        (s.wrapping_add(w.sum), d + w.delivered)
-    });
-    (wall, sum, delivered)
-}
-
-/// Chain length and per-event work for the shard scales: ~300 events
-/// per LP at ~1.5k xorshift rounds each ≈ the event density and model
-/// cost of the real inner loops.
-const LP_STEPS: u32 = 300;
-const LP_WORK: u32 = 1_500;
-
-/// (label, LPs, shards, asserted speedup floor at >= 4 cores).
-const LP_SCALES: [(&str, usize, usize, f64); 2] = [
-    ("e19_16lp_4shards", 16, 4, 1.3),
-    ("e21_64lp_4shards", 64, 4, 2.0),
-];
-
-/// E25 measurement: best-of-3 wall clock, 1 shard (the monolithic fast
-/// path) vs 4 shards on 4 worker threads, at E19 16-LP and E21 64-LP
-/// scale. Checksums pin the sharded runs to the single-shard event set,
-/// and thread count is asserted invisible to the results. The ≥2×
-/// speedup floor at the 64-LP scale is enforced whenever the machine
-/// has ≥ 4 cores (CI runners do); on smaller machines the ratio is
-/// printed and only a sanity floor applies — measured numbers live in
-/// EXPERIMENTS.md §E25.
-fn bench_shard_speedup(_c: &mut Criterion) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for (label, n, shards, floor) in LP_SCALES {
-        let mut mono = f64::MAX;
-        let mut mono_sum = 0;
-        let mut mono_delivered = 0;
-        for _ in 0..3 {
-            let (wall, sum, delivered) = run_lp_shards(n, 1, 1, LP_STEPS, LP_WORK);
-            mono = mono.min(wall);
-            mono_sum = sum;
-            mono_delivered = delivered;
-        }
-        // Determinism spot check on the real engine: worker threads
-        // must not change the delivered set.
-        let (_, serial_sum, serial_delivered) = run_lp_shards(n, shards, 1, LP_STEPS, LP_WORK);
-        assert_eq!(
-            serial_sum, mono_sum,
-            "{label}: sharding changed the event set"
-        );
-        assert_eq!(serial_delivered, mono_delivered);
-        let mut sharded = f64::MAX;
-        for _ in 0..3 {
-            let (wall, sum, delivered) = run_lp_shards(n, shards, shards, LP_STEPS, LP_WORK);
-            sharded = sharded.min(wall);
-            assert_eq!(sum, mono_sum, "{label}: threads changed the event set");
-            assert_eq!(delivered, mono_delivered);
-        }
-        let ratio = mono / sharded;
-        println!(
-            "sim_core_shards/{label:<24} 1-shard {:>7.1} ms, {shards}-shard {:>7.1} ms -> {ratio:.2}x \
-             ({mono_delivered} events, {cores} cores)",
-            mono * 1e3,
-            sharded * 1e3,
-        );
-        if cores >= 4 {
-            assert!(
-                ratio >= floor,
-                "sharded engine too slow: {ratio:.2}x < {floor}x floor at {label} \
-                 on {cores} cores"
-            );
-        } else {
-            println!("sim_core_shards/{label:<24} skipping {floor}x floor: only {cores} core(s)");
-            assert!(
-                ratio >= 0.2,
-                "sharded engine pathologically slow even for {cores} core(s): {ratio:.2}x"
-            );
-        }
-    }
-}
-
 criterion_group!(
     benches,
     bench_churn,
     bench_world_inner_loops,
-    bench_speedup_floor,
-    bench_shard_speedup
+    bench_speedup_floor
 );
 criterion_main!(benches);

@@ -49,7 +49,6 @@ fn bench_table1(c: &mut Criterion) {
         packets: 10_000,
         seed: 42,
         threads: vf_sim::default_threads(),
-        shards: 1,
     });
     println!(
         "\nTable I — Tail latencies for data movement with VirtIO and XDMA\n{}",

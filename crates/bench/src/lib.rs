@@ -439,7 +439,6 @@ mod tests {
             packets: 150,
             seed: 19,
             threads: 8,
-            shards: 1,
         };
         let mut m = experiments::run_matrix(params);
         let f3 = render_fig3(&experiments::fig3(&mut m));
@@ -458,7 +457,6 @@ mod tests {
             packets: 150,
             seed: 23,
             threads: 8,
-            shards: 1,
         };
         let s = render_pmd(&experiments::pmd_tails(params));
         assert!(s.contains("VirtIO-PMD"));
@@ -474,7 +472,6 @@ mod tests {
             packets: 150,
             seed: 29,
             threads: 8,
-            shards: 1,
         };
         let s = render_packed(&experiments::packed_ring(params));
         assert!(s.contains("packed"));
@@ -487,7 +484,6 @@ mod tests {
             packets: 600,
             seed: 31,
             threads: 8,
-            shards: 1,
         };
         let rows = experiments::mq_scaling(params, 256);
         let s = render_mq(256, &rows);
@@ -514,7 +510,6 @@ mod tests {
             packets: 150,
             seed: 37,
             threads: 8,
-            shards: 1,
         };
         let rows = experiments::pipeline_depth(params, 256);
         let s = render_ooo(256, &rows);
@@ -531,7 +526,6 @@ mod tests {
             packets: 600,
             seed: 41,
             threads: 8,
-            shards: 1,
         };
         let rows = experiments::tenant_scaling(params, 256);
         let s = render_tenants(256, &rows);
@@ -555,7 +549,6 @@ mod tests {
             packets: 200,
             seed: 43,
             threads: 8,
-            shards: 1,
         });
         let s = render_blk(&rows);
         assert!(s.contains("E24"));
@@ -575,7 +568,6 @@ mod tests {
             packets: 150,
             seed: 1,
             threads: 2,
-            shards: 1,
         });
         let s = render_bypass(&rows);
         assert!(s.contains("4096B"));

@@ -46,10 +46,6 @@ pub struct ExperimentParams {
     pub seed: u64,
     /// Worker threads for sweeps.
     pub threads: usize,
-    /// Shard cap for the in-run parallel engine on the MQ/tenant
-    /// sweeps (E25); `1` is the monolithic loop and results are
-    /// bit-identical at every value.
-    pub shards: usize,
 }
 
 impl ExperimentParams {
@@ -59,7 +55,6 @@ impl ExperimentParams {
             packets: PAPER_PACKETS,
             seed,
             threads: vf_sim::default_threads(),
-            shards: 1,
         }
     }
 
@@ -69,7 +64,6 @@ impl ExperimentParams {
             packets: 2_000,
             seed,
             threads: vf_sim::default_threads(),
-            shards: 1,
         }
     }
 }
@@ -972,7 +966,6 @@ pub fn mq_scaling(params: ExperimentParams, payload: usize) -> Vec<MqRow> {
             let mut cfg =
                 TestbedConfig::paper(DriverKind::VirtioMq, payload, params.packets, params.seed);
             cfg.options.mq_queue_pairs = q;
-            cfg.options.shards = params.shards;
             cfg
         })
         .collect();
@@ -1054,7 +1047,6 @@ pub fn pipeline_depth(params: ExperimentParams, payload: usize) -> Vec<OooRow> {
                 let mut cfg = TestbedConfig::paper(driver, payload, params.packets, params.seed);
                 cfg.options.mq_queue_pairs = queues;
                 cfg.options.pipeline_depth = depth;
-                cfg.options.shards = params.shards;
                 configs.push(cfg);
             }
         }
@@ -1140,7 +1132,6 @@ pub fn tenant_scaling(params: ExperimentParams, payload: usize) -> Vec<TenantRow
             cfg.options.mq_queue_pairs = tenants;
             cfg.options.tenant_vhost = true;
             cfg.options.tenant_policy = policy;
-            cfg.options.shards = params.shards;
             configs.push(cfg);
         }
     }
@@ -1217,7 +1208,6 @@ pub fn noisy_neighbor(params: ExperimentParams, payload: usize) -> Vec<NoisyRow>
             cfg.options.mq_queue_pairs = NOISY_TENANTS;
             cfg.options.tenant_vhost = true;
             cfg.options.tenant_policy = policy;
-            cfg.options.shards = params.shards;
             if noisy {
                 cfg.options.tenant_configs = tenant_cfgs.clone();
             }
@@ -1368,7 +1358,6 @@ mod tests {
             packets: 300,
             seed: 7,
             threads: 4,
-            shards: 1,
         }
     }
 
@@ -1378,7 +1367,6 @@ mod tests {
             packets: 120,
             seed: 3,
             threads: 8,
-            shards: 1,
         });
         assert_eq!(m.cells.len(), 10);
         for driver in [DriverKind::Virtio, DriverKind::Xdma] {
@@ -1396,7 +1384,6 @@ mod tests {
             packets: 2_500,
             seed: 11,
             threads: 8,
-            shards: 1,
         });
         // Table I shape: VirtIO wins p95 at every payload.
         for row in table1(&mut m) {
@@ -1430,7 +1417,6 @@ mod tests {
                 packets: 400,
                 seed: 13,
                 threads: 8,
-                shards: 1,
             },
             256,
         );
@@ -1484,7 +1470,6 @@ mod tests {
             packets: 1500,
             seed: 5,
             threads: 8,
-            shards: 1,
         });
         assert_eq!(rows.len(), 4);
         // Zero noise leaves only deterministic buffer-alignment effects
@@ -1506,7 +1491,6 @@ mod tests {
             packets: 400,
             seed: 9,
             threads: 8,
-            shards: 1,
         });
         assert_eq!(rows.len(), 6);
         for r in &rows {
@@ -1523,7 +1507,6 @@ mod tests {
             packets: 400,
             seed: 4,
             threads: 8,
-            shards: 1,
         });
         for r in &rows {
             assert!(
@@ -1542,7 +1525,6 @@ mod tests {
             packets: 400,
             seed: 8,
             threads: 8,
-            shards: 1,
         });
         let console64 = rows
             .iter()
@@ -1562,7 +1544,6 @@ mod tests {
             packets: 800,
             seed: 21,
             threads: 8,
-            shards: 1,
         });
         assert_eq!(rows.len(), 5);
         for r in &rows {
@@ -1594,7 +1575,6 @@ mod tests {
             packets: 400,
             seed: 6,
             threads: 8,
-            shards: 1,
         });
         assert_eq!(rows.len(), 5);
         // The busy poller's CPU bill per packet shrinks as load rises
@@ -1631,7 +1611,6 @@ mod tests {
             packets: 500,
             seed: 13,
             threads: 8,
-            shards: 1,
         });
         assert_eq!(rows.len(), 5);
         for r in &rows {
@@ -1659,7 +1638,6 @@ mod tests {
             packets: 600,
             seed: 2,
             threads: 8,
-            shards: 1,
         });
         let big = rows.iter().find(|r| r.payload == 1024).unwrap();
         assert!(big.sw_component_offload < big.sw_component_sw_csum);
@@ -1676,7 +1654,6 @@ mod tests {
                 packets: 1_200,
                 seed: 5,
                 threads: 8,
-                shards: 1,
             },
             256,
         );
@@ -1707,7 +1684,6 @@ mod tests {
             packets: 250,
             seed: 31,
             threads: 8,
-            shards: 1,
         });
         assert_eq!(rows.len(), BLK_WORKLOADS.len());
         for row in &rows {

@@ -31,7 +31,7 @@ use vf_hostsw::{
     CTRL_QUEUE_SIZE,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
-use vf_sim::{SampleSet, ShardableWorld, SimRng, Time, World};
+use vf_sim::{SampleSet, SimRng, Simulation, Time, World};
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::{feature, net, DeviceType};
 
@@ -812,32 +812,9 @@ impl World for MqPipelinedWorld {
     }
 }
 
-impl ShardableWorld for MqPipelinedWorld {
-    fn lookahead(&self) -> Time {
-        self.parts.link.cfg.min_lookahead()
-    }
-
-    /// The multi-tag wire model couples every pair: gap backfill in
-    /// `WireDir::reserve` makes each TLP's start time depend on all
-    /// earlier reservations from *every* tag, so there is no inter-pair
-    /// lookahead to exploit and the world stays one component. A future
-    /// per-shard wire-budget model can return a real split here without
-    /// any caller changing (see DESIGN §2.1.2).
-    fn partition(self, _max_shards: usize) -> Vec<Self> {
-        vec![self]
-    }
-}
-
 /// Run the E19 pipelined multi-queue workload: `mq_queue_pairs` pairs
 /// (from `cfg.options`), each with a `depth`-deep window, until
 /// `cfg.packets` total round trips complete.
-///
-/// Always drives the sharded engine (`vf_sim::shard`) with the shard
-/// cap from [`TestbedOptions::shards`]; because the world is one
-/// coupled component, every shard count takes the engine's single-shard
-/// fast path and the results are bit-identical for any `--shards N`.
-///
-/// [`TestbedOptions::shards`]: crate::TestbedOptions::shards
 pub fn run_mq(cfg: &TestbedConfig, depth: usize) -> MqThroughputResult {
     assert!(
         matches!(
@@ -853,19 +830,15 @@ pub fn run_mq(cfg: &TestbedConfig, depth: usize) -> MqThroughputResult {
     );
     let world = MqPipelinedWorld::new(cfg, depth);
     let pairs = world.parts.pairs;
+    let mut sim = Simulation::new(world);
     let start = Time::from_us(10);
-    let initial = (0..pairs).map(|pair| (start, PipeEv::Pump(pair))).collect();
-    let (worlds, now, outcome) = vf_sim::run_partitioned(
-        world,
-        cfg.options.shards,
-        vf_sim::default_threads(),
-        initial,
-        Time::from_secs(3600),
-        500_000_000,
-    );
+    for pair in 0..pairs {
+        sim.schedule_at(start, PipeEv::Pump(pair));
+    }
+    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
     assert_eq!(outcome, vf_sim::RunOutcome::Idle, "mq pipeline wedged");
-    let elapsed = now - start;
-    let w = worlds.into_iter().next().expect("coupled world, one shard");
+    let elapsed = sim.now() - start;
+    let w = sim.world;
     assert_eq!(w.received, cfg.packets, "packets lost");
     let stats = w.parts.run_stats();
     let link = &w.parts.link;
@@ -975,27 +948,6 @@ mod tests {
         assert_eq!(a.pps.to_bits(), b.pps.to_bits());
         for (x, y) in a.per_queue_latency.iter().zip(&b.per_queue_latency) {
             assert_eq!(x.raw(), y.raw());
-        }
-    }
-
-    /// The E25 contract: a sharded run is bit-identical to the
-    /// single-shard run — same pps bits, same per-queue latency raws,
-    /// same doorbell/irq counts — for any shard count, because the
-    /// coupled MQ world always resolves to one shard on the sharded
-    /// engine's fast path.
-    #[test]
-    fn sharded_mq_matches_single_shard_bitwise() {
-        let one = run_mq(&cfg(4, 600), 8);
-        for shards in [2, 4, 8] {
-            let mut c = cfg(4, 600);
-            c.options.shards = shards;
-            let n = run_mq(&c, 8);
-            assert_eq!(one.pps.to_bits(), n.pps.to_bits(), "{shards} shards");
-            assert_eq!(one.doorbells, n.doorbells);
-            assert_eq!(one.irqs, n.irqs);
-            for (x, y) in one.per_queue_latency.iter().zip(&n.per_queue_latency) {
-                assert_eq!(x.raw(), y.raw(), "{shards} shards");
-            }
         }
     }
 

@@ -169,13 +169,8 @@ pub struct TestbedOptions {
     /// 16 MiB) leaves the random-I/O sweeps room to address distinct
     /// slots at every I/O size.
     pub blk_capacity_sectors: u64,
-    /// E25 (MQ/tenant worlds): shard cap for the conservative parallel
-    /// engine (`vf_sim::shard`). `1` (default) runs the monolithic
-    /// loop; `> 1` lets the world partition into up to this many shards
-    /// synchronized by the link's [`min_lookahead`] — results are
-    /// bit-identical to `shards = 1` by the engine's merge contract.
-    ///
-    /// [`min_lookahead`]: vf_pcie::LinkConfig::min_lookahead
+    /// Has no effect: every world runs on one timing wheel. Kept so
+    /// that existing configurations that set it still compile.
     pub shards: usize,
 }
 
@@ -456,34 +451,27 @@ impl VirtioWorld {
 
         // Device-side features on offer.
         let netcfg = VirtioNetConfig::testbed_default();
-        let (persona, extra, logic): (Persona, u64, Box<dyn UserLogic>) =
-            match cfg.options.device_type {
-                DeviceType::Net => (
-                    Persona::Net { cfg: netcfg },
-                    net::feature::MAC
-                        | net::feature::MTU
-                        | net::feature::STATUS
-                        | net::feature::CSUM
-                        | net::feature::GUEST_CSUM,
-                    Box::new(UdpEcho::default()),
-                ),
-                DeviceType::Console => (
-                    Persona::Console {
-                        cfg: VirtioConsoleConfig::testbed_default(),
-                    },
-                    vf_virtio::console::feature::SIZE,
-                    Box::new(ConsoleEcho::default()),
-                ),
-                DeviceType::Block => {
-                    unreachable!(
-                        "the block persona runs under DriverKind::VirtioBlk (crate::blk), \
-                         not the echo worlds"
-                    )
-                }
-                DeviceType::Rng => {
-                    unreachable!("virtio-rng has no echo workload; see the rng unit tests")
-                }
-            };
+        // `Testbed::new` admits only the net and console echo devices.
+        let console = cfg.options.device_type == DeviceType::Console;
+        let (persona, extra, logic): (Persona, u64, Box<dyn UserLogic>) = if console {
+            (
+                Persona::Console {
+                    cfg: VirtioConsoleConfig::testbed_default(),
+                },
+                vf_virtio::console::feature::SIZE,
+                Box::new(ConsoleEcho::default()),
+            )
+        } else {
+            (
+                Persona::Net { cfg: netcfg },
+                net::feature::MAC
+                    | net::feature::MTU
+                    | net::feature::STATUS
+                    | net::feature::CSUM
+                    | net::feature::GUEST_CSUM,
+                Box::new(UdpEcho::default()),
+            )
+        };
         let mut device = VirtioFpgaDevice::new(persona, extra, &[cfg.options.queue_size; 2], logic);
         device.set_card_memory(cfg.options.card_memory.store(256 * 1024));
 
@@ -502,37 +490,33 @@ impl VirtioWorld {
         }
 
         // Front-end bring-up + probe.
-        let front = match cfg.options.device_type {
-            DeviceType::Net => {
-                want |= net::feature::MAC | net::feature::MTU | net::feature::STATUS;
-                if cfg.options.csum_offload {
-                    want |= net::feature::CSUM | net::feature::GUEST_CSUM;
-                }
-                if cfg.driver == DriverKind::VirtioPacked {
-                    // E17: one-ring packed layout. The packed front end
-                    // runs without EVENT_IDX — every TX publish rings
-                    // the doorbell — so that bit is never requested.
-                    want |= feature::RING_PACKED;
-                    want &= !feature::RING_EVENT_IDX;
-                }
-                let driver = VirtioNetDriver::init(&mut mem, cfg.options.queue_size, want);
-                let out = vf_hostsw::probe(&mut Transport(&mut device), &driver, want)
-                    .expect("probe must succeed");
-                assert_eq!(out.mtu, 1500);
-                FrontEnd::Net(Box::new(driver))
+        let front = if console {
+            let driver = VirtioConsoleDriver::init(&mut mem, cfg.options.queue_size, want);
+            // The console probe reuses the same transport sequence via
+            // a scratch net driver facade: program queues directly.
+            let net_facade = ConsoleProbeFacade {
+                rx: driver.rx_layout(),
+                tx: driver.tx_layout(),
+            };
+            net_facade.probe(&mut device, want);
+            FrontEnd::Console(Box::new(driver))
+        } else {
+            want |= net::feature::MAC | net::feature::MTU | net::feature::STATUS;
+            if cfg.options.csum_offload {
+                want |= net::feature::CSUM | net::feature::GUEST_CSUM;
             }
-            DeviceType::Rng | DeviceType::Block => unreachable!("persona rejected above"),
-            DeviceType::Console => {
-                let driver = VirtioConsoleDriver::init(&mut mem, cfg.options.queue_size, want);
-                // The console probe reuses the same transport sequence via
-                // a scratch net driver facade: program queues directly.
-                let net_facade = ConsoleProbeFacade {
-                    rx: driver.rx_layout(),
-                    tx: driver.tx_layout(),
-                };
-                net_facade.probe(&mut device, want);
-                FrontEnd::Console(Box::new(driver))
+            if cfg.driver == DriverKind::VirtioPacked {
+                // E17: one-ring packed layout. The packed front end
+                // runs without EVENT_IDX — every TX publish rings
+                // the doorbell — so that bit is never requested.
+                want |= feature::RING_PACKED;
+                want &= !feature::RING_EVENT_IDX;
             }
+            let driver = VirtioNetDriver::init(&mut mem, cfg.options.queue_size, want);
+            let out = vf_hostsw::probe(&mut Transport(&mut device), &driver, want)
+                .expect("probe must succeed");
+            assert_eq!(out.mtu, 1500);
+            FrontEnd::Net(Box::new(driver))
         };
 
         // MSI-X: the kernel allocates vectors and programs the table.
@@ -1254,7 +1238,23 @@ pub struct Testbed {
 
 impl Testbed {
     /// Build a testbed for one configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.options.device_type` is neither net nor console: the
+    /// testbed's worlds echo over those two device types only.
     pub fn new(cfg: TestbedConfig) -> Self {
+        let dt = cfg.options.device_type;
+        assert!(
+            matches!(dt, DeviceType::Net | DeviceType::Console),
+            "{} has no echo world: the testbed echoes over virtio-net or virtio-console{}",
+            dt.name(),
+            if dt == DeviceType::Block {
+                "; block I/O runs under DriverKind::VirtioBlk through run_blk"
+            } else {
+                ""
+            }
+        );
         Testbed { cfg }
     }
 

@@ -34,7 +34,6 @@ use vf_virtio::net::{
     internet_checksum, VirtioNetConfig, VirtioNetHdr, HDR_F_DATA_VALID, HDR_F_NEEDS_CSUM,
 };
 use vf_virtio::pci::CfgEvent;
-use vf_virtio::rng::EntropySource;
 use vf_virtio::{
     feature, net, Chain, CommonCfg, DeviceRing, DeviceType, GuestMemory, IsrStatus, RingChain,
 };
@@ -105,11 +104,6 @@ pub enum Persona {
         /// The backing store.
         disk: MemDisk,
     },
-    /// Entropy device (additional type; no device-specific config).
-    Rng {
-        /// The fabric entropy source.
-        src: EntropySource,
-    },
 }
 
 impl Persona {
@@ -118,7 +112,6 @@ impl Persona {
             Persona::Net { .. } => DeviceType::Net,
             Persona::Console { .. } => DeviceType::Console,
             Persona::Block { .. } => DeviceType::Block,
-            Persona::Rng { .. } => DeviceType::Rng,
         }
     }
 
@@ -127,8 +120,6 @@ impl Persona {
             Persona::Net { cfg } => cfg.read(off, len),
             Persona::Console { cfg } => cfg.read(off, len),
             Persona::Block { cfg, .. } => cfg.read(off, len),
-            // virtio-rng has no device-specific configuration structure.
-            Persona::Rng { .. } => 0,
         }
     }
 
@@ -137,7 +128,7 @@ impl Persona {
     fn hdr_len(&self) -> usize {
         match self {
             Persona::Net { .. } => VirtioNetHdr::LEN,
-            Persona::Console { .. } | Persona::Block { .. } | Persona::Rng { .. } => 0,
+            Persona::Console { .. } | Persona::Block { .. } => 0,
         }
     }
 }
@@ -1079,57 +1070,6 @@ impl VirtioFpgaDevice {
         }
     }
 
-    /// Process a doorbell on an entropy-device request queue: fill each
-    /// writable buffer from the fabric entropy source, DMA it into host
-    /// memory, complete, interrupt. A chain the device cannot resolve
-    /// stops the pass.
-    pub fn process_rng_notify(
-        &mut self,
-        arrival: Time,
-        queue: u16,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> RxOutcome {
-        link.select_dma_context(queue as usize);
-        let timing = self.timing;
-        let mut t = arrival + timing.notify_decode;
-        if let Some(read) = self.ring(queue).begin_pass(mem) {
-            t = link.dma_read(t, read.addr, read.len);
-            self.stats.desc_reads += 1;
-        }
-        let mut irq_at = None;
-        let mut any = false;
-        while let Ok(Some((chain, read))) = self.ring(queue).next_chain(mem) {
-            t = link.dma_read(t, read.addr, read.len);
-            self.stats.desc_reads += 1;
-            t += timing.per_desc * chain.descs as u64;
-            let Persona::Rng { src } = &mut self.persona else {
-                panic!("rng notify on a non-rng persona");
-            };
-            let mut written = 0u32;
-            for buf in chain.chain.bufs.iter().filter(|b| b.writable) {
-                let mut data = vec![0u8; buf.len as usize];
-                src.fill(&mut data);
-                GuestMemory::write(mem, buf.addr, &data);
-                // Entropy generation at 8 B/cycle, then the posted DMA.
-                t += FPGA_CYCLE * (buf.len as u64).div_ceil(8);
-                t = link.dma_write(t, buf.addr, buf.len as usize);
-                written += buf.len;
-            }
-            let (done, irq) = self.complete_chain(queue, &chain, written, t, mem, link);
-            t = done;
-            if irq.is_some() {
-                irq_at = irq;
-            }
-            any = true;
-        }
-        RxOutcome {
-            irq_at,
-            done_at: t,
-            delivered: any,
-        }
-    }
-
     /// Queue pairs the flow-steering walker currently spreads RX
     /// traffic over (1 until the driver raises it via the ctrl vq).
     pub fn active_queue_pairs(&self) -> u16 {
@@ -1912,76 +1852,6 @@ mod tests {
         let t_write = dev.bypass_write(t_read, out_buf, &data, &mut mem, &mut link);
         assert!(t_write > t_read);
         assert_eq!(mem.slice(out_buf, 512), &[0x5Au8; 512]);
-    }
-
-    #[test]
-    fn rng_persona_delivers_entropy() {
-        let mut dev = VirtioFpgaDevice::new(
-            Persona::Rng {
-                src: EntropySource::new(1234),
-            },
-            0,
-            &[64],
-            Box::new(crate::user_logic::ConsoleEcho::default()),
-        );
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        use common as c;
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, 1); // VERSION_1
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
-        let base = mem.alloc(
-            VirtqueueLayout::contiguous(0, 64).total_bytes() as usize,
-            4096,
-        );
-        let layout = VirtqueueLayout::contiguous(base, 64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, 0);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DESC_LO, 4, layout.desc);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DRIVER_LO, 4, layout.avail);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DEVICE_LO, 4, layout.used);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
-        dev.msix_enable();
-        dev.msix.program(0, vf_pcie::MSI_ADDR_BASE, 0x60);
-        // No device-specific config: reads return zero.
-        assert_eq!(dev.mmio_read(bar0::DEVICE_CFG, 4), 0);
-
-        let mut q = DriverQueue::new(&mut mem, layout, false);
-        let buf = mem.alloc(96, 64);
-        q.add_and_publish(&mut mem, &[BufferSpec::writable(buf, 96)])
-            .unwrap();
-        let out = dev.process_rng_notify(Time::ZERO, 0, &mut mem, &mut link);
-        assert!(out.delivered);
-        assert!(out.irq_at.is_some());
-        let used = q.pop_used(&mut mem).unwrap();
-        assert_eq!(used.len, 96);
-        let data = GuestMemory::read_vec(&mem, buf, 96);
-        assert!(!data.iter().all(|&b| b == 0), "entropy written");
-        // Same seed ⇒ reproducible; a second request differs from the
-        // first (the source advances).
-        q.add_and_publish(&mut mem, &[BufferSpec::writable(buf, 96)])
-            .unwrap();
-        dev.process_rng_notify(Time::from_us(5), 0, &mut mem, &mut link);
-        let data2 = GuestMemory::read_vec(&mem, buf, 96);
-        assert_ne!(data, data2);
     }
 
     #[test]

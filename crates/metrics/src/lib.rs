@@ -6,7 +6,7 @@
 //! backlog, arbiter queue lengths, timing-wheel slab occupancy — the
 //! quantities that are invisible between a run's start and its final
 //! summary, and that the ROADMAP's service-under-load directions
-//! (open-loop traffic, adaptive moderation, sharding) need to be
+//! (open-loop traffic, adaptive moderation) need to be
 //! reviewable at all.
 //!
 //! The design mirrors `vf-trace` exactly where it matters:

@@ -153,9 +153,7 @@ impl LinkConfig {
     /// Every one-way path in the model is `propagation` plus
     /// non-negative terms — serialization, wire-gap queueing, credit
     /// stalls, and endpoint/root-complex latencies only ever *add* —
-    /// so the infimum is `propagation` itself. This is the conservative
-    /// lookahead a sharded simulation may advance without hearing from
-    /// the far side (`vf_sim::shard`), and a handy floor when sanity-
+    /// so the infimum is `propagation` itself: a floor for sanity-
     /// checking trace timestamps.
     pub fn min_lookahead(&self) -> Time {
         self.propagation

@@ -100,10 +100,8 @@ pub enum RunOutcome {
 }
 
 /// A boxed delivery observer: called with each event's timestamp and a
-/// shared view of its message just before `World::deliver`. `Send` so a
-/// hooked simulation can run as a shard on a worker thread (see
-/// [`crate::shard`]).
-pub type DeliveryHook<M> = Box<dyn FnMut(Time, &M) + Send>;
+/// shared view of its message just before `World::deliver`.
+pub type DeliveryHook<M> = Box<dyn FnMut(Time, &M)>;
 
 /// A discrete-event simulation over world `W`.
 pub struct Simulation<W: World> {
@@ -157,17 +155,6 @@ impl<W: World> Simulation<W> {
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Timestamp of the earliest pending event, or `None` when idle.
-    ///
-    /// Takes `&mut self` because the exact peek may cascade lower wheel
-    /// levels to locate the minimum; the queue's contents are unchanged.
-    /// This is the lower-bound-timestamp a sharded coordinator reads
-    /// during its window exchange (see [`crate::shard`]).
-    #[inline]
-    pub fn next_event_at(&mut self) -> Option<Time> {
-        self.queue.next_at()
     }
 
     /// Schedule a message from outside the event loop (initial stimulus,

@@ -13,19 +13,19 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 /// A panic payload caught with `catch_unwind`.
-pub(crate) type Panic = Box<dyn Any + Send>;
+type Panic = Box<dyn Any + Send>;
 
-/// Re-raise a caught panic on the calling thread, naming the unit of
-/// work (`what` number `idx`) that raised it. A message payload (what
-/// `panic!`, `assert!` and `expect` produce) keeps its text after a
-/// `"{what} {idx} panicked: "` prefix; any other payload resumes as is.
-pub(crate) fn resume_point(what: &str, idx: usize, payload: Panic) -> ! {
+/// Re-raise a caught panic on the calling thread, naming the sweep point
+/// `idx` that raised it. A message payload (what `panic!`, `assert!` and
+/// `expect` produce) keeps its text after a `"sweep point {idx}
+/// panicked: "` prefix; any other payload resumes as is.
+fn resume_point(idx: usize, payload: Panic) -> ! {
     let msg = match payload.downcast_ref::<&str>() {
         Some(s) => Some((*s).to_owned()),
         None => payload.downcast_ref::<String>().cloned(),
     };
     match msg {
-        Some(m) => panic::resume_unwind(Box::new(format!("{what} {idx} panicked: {m}"))),
+        Some(m) => panic::resume_unwind(Box::new(format!("sweep point {idx} panicked: {m}"))),
         None => panic::resume_unwind(payload),
     }
 }
@@ -51,7 +51,6 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    const WHAT: &str = "sweep point";
     assert!(max_threads > 0);
     let n = inputs.len();
     if n == 0 {
@@ -64,7 +63,7 @@ where
             .enumerate()
             .map(|(i, x)| {
                 panic::catch_unwind(AssertUnwindSafe(|| f(x)))
-                    .unwrap_or_else(|p| resume_point(WHAT, i, p))
+                    .unwrap_or_else(|p| resume_point(i, p))
             })
             .collect();
     }
@@ -119,7 +118,7 @@ where
         }
     }
     if let Some((idx, p)) = first_panic {
-        resume_point(WHAT, idx, p);
+        resume_point(idx, p);
     }
     slots
         .into_iter()
@@ -127,10 +126,9 @@ where
         .collect()
 }
 
-/// Default thread count for sweeps and shard windows: the `VF_THREADS`
-/// environment variable when set to a positive integer (clamped to
-/// [`MAX_THREADS`]), otherwise the machine's parallelism, leaving the
-/// result at least 1.
+/// Default thread count for sweeps: the `VF_THREADS` environment
+/// variable when set to a positive integer (clamped to [`MAX_THREADS`]),
+/// otherwise the machine's parallelism, leaving the result at least 1.
 ///
 /// The override lets CI pin parallelism for reproducible wall-clock
 /// smokes and lets laptops throttle a sweep without touching code;

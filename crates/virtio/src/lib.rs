@@ -67,7 +67,6 @@ pub mod packed;
 pub mod pci;
 pub mod ring;
 pub mod ring_layout;
-pub mod rng;
 
 pub use device_queue::{Chain, ChainBuf, ChainError, DeviceQueue};
 pub use device_type::DeviceType;

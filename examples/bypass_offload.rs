@@ -24,7 +24,6 @@ fn main() {
         packets: 3_000,
         seed: 42,
         threads: vf_sim::default_threads(),
-        shards: 1,
     });
     println!("bypass DMA vs full driver path:");
     println!(

@@ -19,7 +19,6 @@ fn main() {
         packets,
         seed: 42,
         threads: vf_sim::default_threads(),
-        shards: 1,
     };
     eprintln!("running the 2 × 5 measurement matrix ({packets} packets per cell)...");
     let t0 = std::time::Instant::now();

@@ -11,7 +11,6 @@ fn params(packets: usize) -> ExperimentParams {
         packets,
         seed: 23,
         threads: 8,
-        shards: 1,
     }
 }
 

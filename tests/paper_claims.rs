@@ -17,7 +17,6 @@ fn matrix() -> &'static std::sync::Mutex<Matrix> {
             packets: 10_000,
             seed: 42,
             threads: vf_sim::default_threads(),
-            shards: 1,
         }))
     })
 }

@@ -8,7 +8,8 @@ use vf_hostsw::{probe, ProbeError, VirtioNetDriver, VirtioTransport};
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, VirtioCfgType};
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::pci::common;
-use vf_virtio::{feature, net, status};
+use vf_virtio::{feature, net, status, DeviceType};
+use virtio_fpga::{DriverKind, Testbed, TestbedConfig};
 
 fn net_device(queues: &[u16]) -> VirtioFpgaDevice {
     VirtioFpgaDevice::new(
@@ -187,4 +188,20 @@ fn device_config_little_endian_fields() {
     let lo = dev.mmio_read(bar0::DEVICE_CFG + 10, 1);
     let hi = dev.mmio_read(bar0::DEVICE_CFG + 11, 1);
     assert_eq!(lo | (hi << 8), 1500);
+}
+
+#[test]
+#[should_panic(expected = "virtio-rng has no echo world")]
+fn testbed_rejects_rng_device_type_up_front() {
+    let mut cfg = TestbedConfig::paper(DriverKind::Virtio, 64, 10, 1);
+    cfg.options.device_type = DeviceType::Rng;
+    Testbed::new(cfg);
+}
+
+#[test]
+#[should_panic(expected = "block I/O runs under DriverKind::VirtioBlk through run_blk")]
+fn testbed_points_block_device_type_at_run_blk() {
+    let mut cfg = TestbedConfig::paper(DriverKind::Virtio, 64, 10, 1);
+    cfg.options.device_type = DeviceType::Block;
+    Testbed::new(cfg);
 }
