@@ -374,3 +374,237 @@ fn reruns_on_recycled_host_memory_are_bit_identical() {
         }
     }
 }
+
+/// 64-bit FNV-1a over the bit patterns of `xs`: one digest pins a whole
+/// latency sample set, in insertion order.
+fn fnv1a(xs: &[f64]) -> u64 {
+    xs.iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Bit-exact fingerprint of one pipelined multi-tenant run.
+struct TenantGolden {
+    pps: u64,
+    jain: u64,
+    per_tenant_pps: &'static [u64],
+    per_tenant_latency: &'static [u64],
+    doorbells: u64,
+    irqs: u64,
+    arb_grants: u64,
+    arb_queued: u64,
+}
+
+fn assert_tenant_golden(r: &virtio_fpga::TenantThroughputResult, golden: &TenantGolden) {
+    assert_eq!(r.verify_failures, 0);
+    assert_eq!(r.pps.to_bits(), golden.pps, "pps drifted");
+    assert_eq!(r.jain_index.to_bits(), golden.jain, "jain index drifted");
+    assert_eq!(
+        bits(&r.per_tenant_pps),
+        golden.per_tenant_pps,
+        "per-tenant pps drifted"
+    );
+    let latency: Vec<u64> = r
+        .per_tenant_latency
+        .iter()
+        .map(|s| fnv1a(s.raw()))
+        .collect();
+    assert_eq!(
+        latency, golden.per_tenant_latency,
+        "per-tenant latency drifted"
+    );
+    assert_eq!(r.doorbells, golden.doorbells, "doorbells drifted");
+    assert_eq!(r.irqs, golden.irqs, "irqs drifted");
+    assert_eq!(r.arb_grants, golden.arb_grants, "arbiter grants drifted");
+    assert_eq!(r.arb_queued, golden.arb_queued, "arbiter queueing drifted");
+}
+
+/// The serial E19–E21 cells no quick golden covered before the MQ and
+/// tenant worlds were merged: 4-pair MQ over packed rings, 4 tenants
+/// with the vhost backend off under weighted share, and 2 packed
+/// tenants with the backend on. Seed 42·1000+19, 1000 round trips.
+fn serial_mq_cell(driver: DriverKind, pairs: u16, set: impl Fn(&mut TestbedConfig)) -> RunResult {
+    let mut c = TestbedConfig::paper(driver, 256, 1000, 42_019);
+    c.options.mq_queue_pairs = pairs;
+    set(&mut c);
+    Testbed::new(c).run()
+}
+
+#[test]
+fn e20_serial_mq_packed_cell_matches_pre_merge_golden() {
+    assert_golden(
+        serial_mq_cell(DriverKind::VirtioMqPacked, 4, |_| {}),
+        &Fingerprint {
+            mean: 0x403cd75f91600f28,
+            p99: 0x404397ef9db22d0e,
+            max: 0x4051822d0e560419,
+            hw_mean: 0x402c90c80410304e,
+            sw_mean: 0x402c71eeed8904fb,
+            proc_mean: 0x3fd5810624dd2fa0,
+            sum: 0x40dc2a5353f7cecd,
+            notifications: 1000,
+            irqs: 1000,
+            verify_failures: 0,
+        },
+    );
+}
+
+#[test]
+fn e21_serial_tenants_without_vhost_match_pre_merge_golden() {
+    assert_golden(
+        serial_mq_cell(DriverKind::VirtioTenant, 4, |c| {
+            c.options.tenant_policy = virtio_fpga::ArbiterPolicy::WeightedShare;
+        }),
+        &Fingerprint {
+            mean: 0x40409c8aac96cc5b,
+            p99: 0x4045fccccccccccd,
+            max: 0x4052f72b020c49ba,
+            hw_mean: 0x4032aa1059ea572b,
+            sw_mean: 0x402c7201cd5f99c9,
+            proc_mean: 0x3fd5810624dd2fa0,
+            sum: 0x40e038df6c8b4391,
+            notifications: 1000,
+            irqs: 1000,
+            verify_failures: 0,
+        },
+    );
+}
+
+#[test]
+fn e21_serial_packed_tenants_match_pre_merge_golden() {
+    assert_golden(
+        serial_mq_cell(DriverKind::VirtioTenant, 2, |c| {
+            c.options.tenant_packed = true;
+            c.options.tenant_vhost = true;
+        }),
+        &Fingerprint {
+            mean: 0x404192674080f992,
+            p99: 0x404625810624dd2f,
+            max: 0x40530d0e56041893,
+            hw_mean: 0x402c92b2bfdb4d18,
+            sw_mean: 0x403485710880d804,
+            proc_mean: 0x3fd5810624dd2fa0,
+            sum: 0x40e128f8d4fdf3b9,
+            notifications: 1000,
+            irqs: 1000,
+            verify_failures: 0,
+        },
+    );
+}
+
+/// The pipelined E21 cells no quick golden covered before the merge:
+/// 4 tenants, window 8, 1200 round trips, seed 42·1000+21.
+fn pipelined_tenant_cell(set: impl Fn(&mut TestbedConfig)) -> virtio_fpga::TenantThroughputResult {
+    let mut c = TestbedConfig::paper(DriverKind::VirtioTenant, 256, 1200, 42_021);
+    c.options.mq_queue_pairs = 4;
+    set(&mut c);
+    virtio_fpga::run_tenants(&c, 8)
+}
+
+#[test]
+fn e21_pipelined_packed_tenants_match_pre_merge_golden() {
+    let r = pipelined_tenant_cell(|c| {
+        c.options.tenant_packed = true;
+        c.options.tenant_policy = virtio_fpga::ArbiterPolicy::WeightedShare;
+    });
+    assert_tenant_golden(
+        &r,
+        &TenantGolden {
+            pps: 0x40f441c6d47d763b,
+            jain: 0x3fefffe0f1dee714,
+            per_tenant_pps: &[
+                0x40d4732c7c5c8a25,
+                0x40d4613360007bb2,
+                0x40d44f7e0c8cbd81,
+                0x40d43d5276e56641,
+            ],
+            per_tenant_latency: &[
+                0xd95da8ea8f6c8e29,
+                0xf3a72307697e9242,
+                0x575cbe949760cf2d,
+                0x823cd9c35b69bf30,
+            ],
+            doorbells: 1200,
+            irqs: 1200,
+            arb_grants: 152,
+            arb_queued: 151,
+        },
+    );
+}
+
+/// Vhost off with a noisy neighbour under strict priority: the
+/// arbiter queues without the worker relay, and tenant 0 runs its own
+/// window depth (`TenantConfig::noisy`).
+#[test]
+fn e21_pipelined_tenants_without_vhost_match_pre_merge_golden() {
+    let r = pipelined_tenant_cell(|c| {
+        let mut tenants = vec![vf_tenant::TenantConfig::default(); 4];
+        tenants[0] = vf_tenant::TenantConfig::noisy();
+        c.options.tenant_configs = tenants;
+        c.options.tenant_policy = virtio_fpga::ArbiterPolicy::StrictPriority;
+    });
+    assert_tenant_golden(
+        &r,
+        &TenantGolden {
+            pps: 0x40f2279f069d6fa7,
+            jain: 0x3fe908901d477300,
+            per_tenant_pps: &[
+                0x40ef3584efd75885,
+                0x40dbb3af345948cf,
+                0x40d76dd31f1e6bcd,
+                0x40d220798815c039,
+            ],
+            per_tenant_latency: &[
+                0x644d2f0220e91eee,
+                0x24a8cf0816687e0b,
+                0x8ef11fa3a02efaf8,
+                0x2aeef98d9aa74ad3,
+            ],
+            doorbells: 124,
+            irqs: 124,
+            arb_grants: 124,
+            arb_queued: 95,
+        },
+    );
+}
+
+/// A paused tenant (`TenantConfig::idle`) among three active ones,
+/// vhost on: its slice stays silent (zero rate, empty sample set).
+#[test]
+fn e21_paused_tenant_matches_pre_merge_golden() {
+    let r = pipelined_tenant_cell(|c| {
+        use vf_tenant::TenantConfig;
+        c.options.tenant_vhost = true;
+        c.options.tenant_configs = vec![
+            TenantConfig::default(),
+            TenantConfig::idle(),
+            TenantConfig::default(),
+            TenantConfig::default(),
+        ];
+    });
+    assert_tenant_golden(
+        &r,
+        &TenantGolden {
+            pps: 0x40f2c1b4d1b97279,
+            jain: 0x3fefffbff55c90bb,
+            per_tenant_pps: &[
+                0x40d91e18184c0710,
+                0x0000000000000000,
+                0x40d8f31d61f733fe,
+                0x40d94a2820fb26df,
+            ],
+            per_tenant_latency: &[
+                0x71874cbcc9f620bb,
+                0xcbf29ce484222325,
+                0xe155005c07c0e075,
+                0xf441187043cb714f,
+            ],
+            doorbells: 150,
+            irqs: 150,
+            arb_grants: 150,
+            arb_queued: 149,
+        },
+    );
+}
