@@ -25,8 +25,6 @@
 //! status byte of every completion. Everything is deterministic in
 //! `cfg.seed`.
 
-use std::collections::HashMap;
-
 use vf_fpga::{bar0, MmioEvent, Persona, VirtioFpgaDevice, XdmaExampleDesign};
 use vf_hostsw::{probe_blk, BlkProbeOutcome, CostEngine, VirtioBlkDriver, XdmaCharDriver};
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
@@ -36,6 +34,7 @@ use vf_virtio::feature;
 use vf_xdma::{CardMemory, ChannelDir};
 
 use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
+use crate::inflight::InFlight;
 use crate::testbed::{build_blk_device, DriverKind, TestbedConfig, Transport};
 
 /// Data segments per request the device advertises (`seg_max`); a
@@ -489,10 +488,9 @@ struct BlkPipelinedWorld {
     next_slot: u64,
     slots: u64,
     sectors_per_io: u64,
-    /// tag → submit instant.
-    send_time: HashMap<u32, Time>,
-    /// tag → (sector, is_read) for completion verification.
-    meta: HashMap<u32, (u64, bool)>,
+    /// tag → (submit instant, sector, is_read) for completion timing
+    /// and verification.
+    pending: InFlight<(Time, u64, bool)>,
     /// Write payload, sized on the first write and refilled from
     /// `payload_rng` for every write.
     payload: Vec<u8>,
@@ -518,8 +516,7 @@ impl BlkPipelinedWorld {
             next_slot: 0,
             slots,
             sectors_per_io,
-            send_time: HashMap::new(),
-            meta: HashMap::new(),
+            pending: InFlight::new(),
             payload: Vec::new(),
             latency: SampleSet::with_capacity(cfg.packets),
             completed: 0,
@@ -570,8 +567,7 @@ impl BlkPipelinedWorld {
                     .expect("window sized to the driver depth")
             };
             t += sub.cpu;
-            self.send_time.insert(sub.tag, t);
-            self.meta.insert(sub.tag, (sector, is_read));
+            self.pending.insert(sub.tag, (t, sector, is_read));
             if sub.notify {
                 let (t_cpu, arrival) = self.parts.ring_doorbell(t);
                 t = t_cpu;
@@ -624,14 +620,13 @@ impl World for BlkPipelinedWorld {
                 }
                 t += cpu;
                 for d in &done {
-                    let (sector, is_read) = self.meta.remove(&d.tag).expect("known tag");
+                    let (t0, sector, is_read) = self.pending.take(d.tag).expect("known tag");
                     let bad_read = is_read
                         && self.pattern.is_read()
                         && !matches_pattern(sector, self.io_bytes as usize, &d.data);
                     if d.status != blk_status::OK || bad_read {
                         self.verify_failures += 1;
                     }
-                    let t0 = self.send_time.remove(&d.tag).expect("known tag");
                     let lat = (t - t0).quantize(Time::from_ns(1));
                     self.latency.push(lat);
                     vf_metrics::hist_record("blk.req.latency_ps", 0, lat.as_ps());
@@ -673,8 +668,7 @@ pub fn run_blk(
     let mut sim = Simulation::new(world);
     let start = Time::from_us(10);
     sim.schedule(start, BlkPipeEv::Pump);
-    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-    assert_eq!(outcome, vf_sim::RunOutcome::Idle, "blk pipeline wedged");
+    sim.run_expect_idle(Time::from_secs(3600), 500_000_000, "blk pipeline");
     let elapsed = sim.now() - start;
     let w = sim.world;
     assert_eq!(w.completed, cfg.packets, "requests lost");
@@ -930,8 +924,7 @@ pub fn run_xdma_storage(cfg: &TestbedConfig, pattern: BlkPattern, io_bytes: u32)
     let mut sim = Simulation::new(world);
     let start = Time::from_us(10);
     sim.schedule(start, XdmaStorageEv::AppSend);
-    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-    assert_eq!(outcome, vf_sim::RunOutcome::Idle, "xdma storage wedged");
+    sim.run_expect_idle(Time::from_secs(3600), 500_000_000, "xdma storage");
     let elapsed = sim.now() - start;
     let w = sim.world;
     assert_eq!(w.completed, cfg.packets, "requests lost");

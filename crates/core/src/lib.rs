@@ -40,6 +40,7 @@ pub mod blk;
 pub mod calibration;
 pub mod driver_model;
 pub mod experiments;
+mod inflight;
 pub mod metered;
 pub mod mq;
 pub mod pipeline;

@@ -1,4 +1,4 @@
-//! E19 — multi-queue virtio-net (`VIRTIO_NET_F_MQ`) scaling worlds.
+//! E19/E21 — the multi-queue virtio-net (`VIRTIO_NET_F_MQ`) worlds.
 //!
 //! The single-queue worlds top out where one host core saturates: every
 //! sendto, NAPI poll, and wakeup serializes on the same simulated CPU.
@@ -12,17 +12,26 @@
 //! PCIe link, which is exactly the paper's Gen2 x2 bottleneck the
 //! experiment sweeps toward.
 //!
-//! Two worlds share one bring-up (`MqParts`):
+//! E21's multi-tenant runs drive the same device: tenant *i* owns
+//! pair *i*, and the tenancy layer ([`crate::tenant`]: QoS arbiter,
+//! vhost relay, per-tenant window and pause) is the only thing that
+//! sets them apart. Two worlds cover both experiments over one
+//! bring-up (`MqParts`):
 //!
 //! * `MqWorld` — serial request-response, round-robin across pairs,
 //!   recorded through the standard [`RoundTripRecorder`] so
-//!   `DriverKind::VirtioMq` runs through [`crate::Testbed::run`] and the
-//!   trace reconciliation harness like every other driver;
-//! * [`run_mq`] — pipelined offered load with a per-queue window,
-//!   the E19 measurement proper: aggregate pps, per-queue latency,
-//!   doorbell/irq suppression, and link utilization per queue count.
-
-use std::collections::HashMap;
+//!   `DriverKind::VirtioMq`, `VirtioMqPacked` and `VirtioTenant` run
+//!   through [`crate::Testbed::run`] and the trace reconciliation
+//!   harness like every other driver;
+//! * the pipelined world behind [`run_mq`] and [`crate::run_tenants`] —
+//!   offered load with a per-flow window, the E19/E21 measurement
+//!   proper: aggregate pps, per-flow latency, doorbell/irq suppression,
+//!   and link utilization. Echoes are checked against payloads
+//!   regenerated from the in-flight table's RNG snapshots, so the send
+//!   path stores no payload.
+//!
+//! Without tenancy a doorbell walks its queue directly; with it, the
+//! doorbell asks the arbiter for the walker engine first.
 
 use vf_fpga::user_logic::UdpEcho;
 use vf_fpga::{bar0, MmioEvent, Persona, VirtioFpgaDevice};
@@ -31,86 +40,36 @@ use vf_hostsw::{
     CTRL_QUEUE_SIZE,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
-use vf_sim::{SampleSet, SimRng, Simulation, Time, World};
+use vf_sim::{SampleSet, Scheduler, SimRng, Simulation, Time, World};
+use vf_tenant::TenantConfig;
+use vf_trace::Layer;
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::{feature, net, DeviceType};
 
 use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
+use crate::inflight::{InFlight, PayloadLayout, Pending};
+use crate::tenant::Tenancy;
 use crate::testbed::{DriverKind, RssMode, TestbedConfig, Transport};
 
 /// Most queue pairs a world will drive. Bounded by the static RTT-name
-/// table (trace roots must be `&'static str`), not by the device model;
+/// tables (trace roots must be `&'static str`), not by the device model;
 /// 64 so the E21 tenant sweep can slice one pair per tenant up to 64
 /// tenants.
 pub const MAX_QUEUE_PAIRS: u16 = 64;
 
-/// Per-queue round-trip trace names, indexed by pair.
-const MQ_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = [
-    "rtt_mq_q0",
-    "rtt_mq_q1",
-    "rtt_mq_q2",
-    "rtt_mq_q3",
-    "rtt_mq_q4",
-    "rtt_mq_q5",
-    "rtt_mq_q6",
-    "rtt_mq_q7",
-    "rtt_mq_q8",
-    "rtt_mq_q9",
-    "rtt_mq_q10",
-    "rtt_mq_q11",
-    "rtt_mq_q12",
-    "rtt_mq_q13",
-    "rtt_mq_q14",
-    "rtt_mq_q15",
-    "rtt_mq_q16",
-    "rtt_mq_q17",
-    "rtt_mq_q18",
-    "rtt_mq_q19",
-    "rtt_mq_q20",
-    "rtt_mq_q21",
-    "rtt_mq_q22",
-    "rtt_mq_q23",
-    "rtt_mq_q24",
-    "rtt_mq_q25",
-    "rtt_mq_q26",
-    "rtt_mq_q27",
-    "rtt_mq_q28",
-    "rtt_mq_q29",
-    "rtt_mq_q30",
-    "rtt_mq_q31",
-    "rtt_mq_q32",
-    "rtt_mq_q33",
-    "rtt_mq_q34",
-    "rtt_mq_q35",
-    "rtt_mq_q36",
-    "rtt_mq_q37",
-    "rtt_mq_q38",
-    "rtt_mq_q39",
-    "rtt_mq_q40",
-    "rtt_mq_q41",
-    "rtt_mq_q42",
-    "rtt_mq_q43",
-    "rtt_mq_q44",
-    "rtt_mq_q45",
-    "rtt_mq_q46",
-    "rtt_mq_q47",
-    "rtt_mq_q48",
-    "rtt_mq_q49",
-    "rtt_mq_q50",
-    "rtt_mq_q51",
-    "rtt_mq_q52",
-    "rtt_mq_q53",
-    "rtt_mq_q54",
-    "rtt_mq_q55",
-    "rtt_mq_q56",
-    "rtt_mq_q57",
-    "rtt_mq_q58",
-    "rtt_mq_q59",
-    "rtt_mq_q60",
-    "rtt_mq_q61",
-    "rtt_mq_q62",
-    "rtt_mq_q63",
-];
+// Per-pair (`rtt_mq_q<i>`) and per-tenant (`rtt_tenant_t<i>`)
+// round-trip trace names, indexed by pair.
+macro_rules! rtt_names {
+    ($($i:literal)*) => {
+        const MQ_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = [$(concat!("rtt_mq_q", $i)),*];
+        const TENANT_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] =
+            [$(concat!("rtt_tenant_t", $i)),*];
+    };
+}
+rtt_names!(
+    0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+    32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63
+);
 
 /// UDP source-port base; flow `i` sends from `FLOW_PORT_BASE + i`. A
 /// multiple of every power-of-two pair count, so the device's
@@ -305,6 +264,47 @@ impl MqParts {
         }
     }
 
+    /// Walk flow `pair`'s TX queue: the device echoes every chain, RSS
+    /// steers each response to its pair (hashing the flow onto the
+    /// active pairs), and that pair's completion interrupt is raised,
+    /// or handed to its vhost worker if `vhost`. Returns when the
+    /// walker engine is done.
+    pub(crate) fn walk(
+        &mut self,
+        pair: u16,
+        now: Time,
+        vhost: bool,
+        sched: &mut Scheduler<MqEv>,
+    ) -> Time {
+        let out = self.device.process_tx_notify(
+            now,
+            net::tx_queue_of_pair(pair),
+            &mut self.mem,
+            &mut self.link,
+        );
+        let mut engine_done = out.done_at;
+        for resp in &out.responses {
+            let rx_q = self.device.rss_steer(&resp.data);
+            let rxo = self.device.deliver_response(
+                resp.ready_at,
+                rx_q,
+                resp,
+                &mut self.mem,
+                &mut self.link,
+            );
+            engine_done = engine_done.max(rxo.done_at);
+            if let Some(irq_at) = rxo.irq_at {
+                let dst = rx_q / 2;
+                if vhost {
+                    sched.at(irq_at, MqEv::WorkerRx(dst, resp.data.len() as u32));
+                } else {
+                    sched.at(irq_at, MqEv::RxIrq(dst));
+                }
+            }
+        }
+        engine_done
+    }
+
     /// Device stats with the bring-up (ctrl-vq) traffic subtracted.
     pub(crate) fn run_stats(&self) -> RunStats {
         RunStats {
@@ -320,38 +320,221 @@ impl MqParts {
 }
 
 // ---------------------------------------------------------------------
-// Serial world (Testbed::run / trace reconciliation)
+// What both worlds share: bring-up, tenancy layer, device-side events
 // ---------------------------------------------------------------------
 
-/// Events of the serial MQ round-trip flow.
+/// Events of both worlds, each tagged with the flow (queue pair or
+/// tenant) it belongs to.
 pub(crate) enum MqEv {
-    /// Application on the next core in rotation sends one packet.
-    AppSend,
-    /// Doorbell TLP lands on a TX queue.
+    /// Flow `n`'s application sends: one packet in the serial world, a
+    /// window top-up followed by blocking in the pipelined one.
+    Send(u16),
+    /// Flow `n`'s doorbell reaches the device (directly, or relayed by
+    /// its vhost worker).
     Doorbell(u16),
-    /// Per-queue MSI-X for pair `n` reaches its host core.
+    /// Tenancy: the walker engine goes idle; the arbiter grants the
+    /// next tenant.
+    EngineFree,
+    /// Tenancy with vhost: tenant `n`'s worker picks up a completion of
+    /// `bytes`.
+    WorkerRx(u16, u32),
+    /// Flow `n`'s MSI-X reaches its host core (or guest vCPU).
     RxIrq(u16),
 }
 
-/// Serial request-response over N queue pairs, one flow per core in
-/// round-robin. Exercises the per-queue interrupt/doorbell machinery
-/// under the standard recorder so MQ runs reconcile in `vf-trace`.
-pub(crate) struct MqWorld {
+/// The brought-up device plus the optional tenancy layer, and the
+/// doorbell, walk and relay handling both worlds run alike.
+struct MqCore {
     parts: MqParts,
-    payload: usize,
+    tenancy: Option<Tenancy>,
+}
+
+impl MqCore {
+    fn new(cfg: &TestbedConfig) -> Self {
+        let parts = MqParts::new(cfg);
+        let tenancy =
+            (cfg.driver == DriverKind::VirtioTenant).then(|| Tenancy::new(cfg, parts.pairs));
+        MqCore { parts, tenancy }
+    }
+
+    /// Ring flow `pair`'s TX doorbell at `t`, after a publish of a
+    /// `frame_len`-byte frame. Directly, the host core writes the
+    /// notify register; under vhost the guest's notify is a vmexit into
+    /// the kick eventfd and the tenant's worker writes it. Returns the
+    /// core's time spent (traced as a driver span if `traced`) and the
+    /// doorbell's arrival at the device.
+    fn kick(&mut self, pair: u16, t: Time, frame_len: usize, traced: bool) -> (Time, Time) {
+        let parts = &mut self.parts;
+        let tx_q = net::tx_queue_of_pair(pair);
+        let ev = parts.device.mmio_write(
+            bar0::NOTIFY + u64::from(tx_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
+            2,
+            u64::from(tx_q),
+        );
+        debug_assert_eq!(ev, Some(MmioEvent::Notify(tx_q)));
+        let cost = &mut parts.host.cpu_for_pair(pair).cost;
+        let span = |name, d| {
+            if traced {
+                vf_trace::span_at(Layer::Driver, name, t, t + d, u64::from(tx_q), 0);
+            }
+            d
+        };
+        match &mut self.tenancy {
+            Some(ten) if ten.vhost => {
+                let d = span("vmexit_kick", cost.step(cost.costs.vmexit_kick));
+                let rung = ten.workers[pair as usize].tx(t + d, frame_len);
+                (d, parts.link.mmio_write(rung, 2))
+            }
+            _ => {
+                let arrival = parts.link.mmio_write(t, 2);
+                (
+                    span("doorbell_mmio", cost.step(cost.costs.mmio_write_cpu)),
+                    arrival,
+                )
+            }
+        }
+    }
+
+    /// Doorbells, engine-free wakeups and vhost relays: the events
+    /// both worlds handle alike. Without tenancy a doorbell walks its
+    /// queue at once.
+    fn device_event(&mut self, now: Time, msg: MqEv, sched: &mut Scheduler<MqEv>) {
+        let parts = &mut self.parts;
+        match (msg, &mut self.tenancy) {
+            (MqEv::Doorbell(pair), None) => {
+                parts.walk(pair, now, false, sched);
+            }
+            (MqEv::Doorbell(tenant), Some(ten)) => ten.doorbell(parts, tenant, now, sched),
+            (MqEv::EngineFree, Some(ten)) => ten.engine_free(parts, now, sched),
+            (MqEv::WorkerRx(tenant, bytes), Some(ten)) => {
+                let seen = ten.workers[tenant as usize].rx(now, bytes as usize);
+                sched.at(seen, MqEv::RxIrq(tenant));
+            }
+            _ => unreachable!("not a device-side event of this run"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Serial world (Testbed::run / trace reconciliation)
+// ---------------------------------------------------------------------
+
+/// Serial request-response over N queue pairs (or M tenants), one
+/// round trip at a time, one flow per core in round-robin. Recorded
+/// through the standard [`RoundTripRecorder`], so `DriverKind::VirtioMq`,
+/// `VirtioMqPacked` and `VirtioTenant` run through [`crate::Testbed::run`]
+/// and the trace harness; each flow's round trips carry their own
+/// `rtt_mq_q<i>` or `rtt_tenant_t<i>` root, which the Perfetto export
+/// splits into per-flow tracks.
+pub(crate) struct MqWorld {
+    core: MqCore,
+    rtt_names: &'static [&'static str; MAX_QUEUE_PAIRS as usize],
+    /// The payload in flight, drawn from `MqParts::payload_rng`.
     expected: Vec<u8>,
     sent: usize,
     rec: RoundTripRecorder,
 }
 
 impl MqWorld {
-    fn new(cfg: &TestbedConfig) -> Self {
-        MqWorld {
-            parts: MqParts::new(cfg),
-            payload: cfg.payload,
-            expected: Vec::new(),
-            sent: 0,
-            rec: RoundTripRecorder::new(cfg.packets),
+    fn send(&mut self, now: Time, pair: u16, sched: &mut Scheduler<MqEv>) {
+        if self.rec.packets_left == 0 {
+            return;
+        }
+        self.sent += 1;
+        let name = self.rtt_names[pair as usize];
+        self.rec.begin_rtt(now, name, self.expected.len() as u64);
+        let parts = &mut self.core.parts;
+        parts.payload_rng.fill_bytes(&mut self.expected);
+        let offload = parts.driver.pairs[pair as usize].csum_offload();
+        let cpu = parts.host.cpu_for_pair(pair);
+        let mut t = now;
+        let (frame, d) = parts
+            .stack
+            .sendto(
+                parts.fpga_ip,
+                FLOW_PORT_BASE + pair,
+                7,
+                &self.expected,
+                offload,
+                &mut cpu.cost,
+            )
+            .expect("send path configured");
+        let len = self.expected.len() as u64;
+        vf_trace::span_at(Layer::Syscall, "sendto", t, t + d, len, u64::from(pair));
+        t += d;
+        let res = parts
+            .driver
+            .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
+        let len = frame.len() as u64;
+        vf_trace::span_at(
+            Layer::Driver,
+            "virtio_xmit",
+            t,
+            t + res.cpu,
+            len,
+            u64::from(pair),
+        );
+        t += res.cpu;
+        if res.notify {
+            let (d, arrival) = self.core.kick(pair, t, frame.len(), true);
+            t += d;
+            sched.at(arrival, MqEv::Doorbell(pair));
+        }
+        vf_trace::set_now(t);
+        let cpu = self.core.parts.host.cpu_for_pair(pair);
+        t += cpu.cost.send_return_then_block();
+        cpu.free = t;
+    }
+
+    fn rx_irq(&mut self, now: Time, pair: u16, sched: &mut Scheduler<MqEv>) {
+        let parts = &mut self.core.parts;
+        let cpu = parts.host.cpu_for_pair(pair);
+        let t_irq = now.max(cpu.free);
+        vf_trace::set_now(t_irq);
+        let mut t = t_irq + cpu.cost.irq_to_napi();
+        let (frames, d) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
+        vf_trace::span_at(Layer::Driver, "napi_poll", t, t + d, 0, u64::from(pair));
+        t += d;
+        let mut delivered_payload: Option<Vec<u8>> = None;
+        for rx in frames {
+            let validated = rx.hdr.flags & net::HDR_F_DATA_VALID != 0;
+            match parts.stack.netif_receive(
+                &rx.frame,
+                FLOW_PORT_BASE + pair,
+                validated,
+                &mut cpu.cost,
+            ) {
+                Ok((parsed, d)) => {
+                    let len = rx.frame.len() as u64;
+                    vf_trace::span_at(Layer::Syscall, "udp_rx", t, t + d, len, u64::from(pair));
+                    t += d;
+                    delivered_payload = Some(parsed.payload);
+                }
+                Err(SockError::BadChecksum) => {
+                    self.rec.verify_failures += 1;
+                }
+                Err(e) => panic!("receive path failed: {e:?}"),
+            }
+        }
+        let d = cpu.cost.step(cpu.cost.costs.wakeup_to_run);
+        vf_trace::span_at(Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
+        t += d;
+        let len = delivered_payload.as_ref().map_or(0, |p| p.len());
+        let d = parts.stack.recvfrom_return(len, &mut cpu.cost);
+        vf_trace::span_at(Layer::Syscall, "recvfrom_return", t, t + d, len as u64, 0);
+        t += d;
+        cpu.free = t;
+
+        if delivered_payload.as_deref() != Some(&self.expected[..]) {
+            self.rec.verify_failures += 1;
+        }
+        let hw = parts.device.counters.last_hw();
+        let proc = parts.device.counters.processing.last;
+        self.rec.record(t, hw, proc);
+        if self.rec.packets_left > 0 {
+            let next = t + cpu.cost.step(cpu.cost.costs.app_loop_overhead);
+            let pair = (self.sent % parts.pairs as usize) as u16;
+            sched.at(next, MqEv::Send(pair));
         }
     }
 }
@@ -359,172 +542,12 @@ impl MqWorld {
 impl World for MqWorld {
     type Msg = MqEv;
 
-    fn deliver(&mut self, now: Time, msg: MqEv, sched: &mut vf_sim::Scheduler<MqEv>) {
-        self.parts.link.advance_epoch(now);
-        let parts = &mut self.parts;
+    fn deliver(&mut self, now: Time, msg: MqEv, sched: &mut Scheduler<MqEv>) {
+        self.core.parts.link.advance_epoch(now);
         match msg {
-            MqEv::AppSend => {
-                if self.rec.packets_left == 0 {
-                    return;
-                }
-                let pair = (self.sent % parts.pairs as usize) as u16;
-                self.sent += 1;
-                self.rec
-                    .begin_rtt(now, MQ_RTT_NAMES[pair as usize], self.payload as u64);
-                let mut t = now;
-                let mut payload = vec![0u8; self.payload];
-                parts.payload_rng.fill_bytes(&mut payload);
-                self.expected = payload.clone();
-                let offload = parts.driver.pairs[pair as usize].csum_offload();
-
-                let cpu = parts.host.cpu_for_pair(pair);
-                let (frame, d) = parts
-                    .stack
-                    .sendto(
-                        parts.fpga_ip,
-                        FLOW_PORT_BASE + pair,
-                        7,
-                        &payload,
-                        offload,
-                        &mut cpu.cost,
-                    )
-                    .expect("send path configured");
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "sendto",
-                    t,
-                    t + d,
-                    payload.len() as u64,
-                    u64::from(pair),
-                );
-                t += d;
-                let res = parts
-                    .driver
-                    .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "virtio_xmit",
-                    t,
-                    t + res.cpu,
-                    frame.len() as u64,
-                    u64::from(pair),
-                );
-                t += res.cpu;
-                if res.notify {
-                    let tx_q = net::tx_queue_of_pair(pair);
-                    let ev = parts.device.mmio_write(
-                        bar0::NOTIFY + u64::from(tx_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
-                        2,
-                        u64::from(tx_q),
-                    );
-                    debug_assert_eq!(ev, Some(MmioEvent::Notify(tx_q)));
-                    let arrival = parts.link.mmio_write(t, 2);
-                    let d = cpu.cost.step(cpu.cost.costs.mmio_write_cpu);
-                    vf_trace::span_at(
-                        vf_trace::Layer::Driver,
-                        "doorbell_mmio",
-                        t,
-                        t + d,
-                        u64::from(tx_q),
-                        0,
-                    );
-                    t += d;
-                    sched.at(arrival, MqEv::Doorbell(tx_q));
-                }
-                vf_trace::set_now(t);
-                t += cpu.cost.send_return_then_block();
-                cpu.free = t;
-            }
-            MqEv::Doorbell(tx_q) => {
-                let out =
-                    parts
-                        .device
-                        .process_tx_notify(now, tx_q, &mut parts.mem, &mut parts.link);
-                for resp in &out.responses {
-                    // RSS: the walker hashes the response flow onto the
-                    // active pairs and raises that pair's own vector.
-                    let rx_q = parts.device.rss_steer(&resp.data);
-                    let rxo = parts.device.deliver_response(
-                        resp.ready_at,
-                        rx_q,
-                        resp,
-                        &mut parts.mem,
-                        &mut parts.link,
-                    );
-                    if let Some(irq_at) = rxo.irq_at {
-                        sched.at(irq_at, MqEv::RxIrq(rx_q / 2));
-                    }
-                }
-            }
-            MqEv::RxIrq(pair) => {
-                let cpu = parts.host.cpu_for_pair(pair);
-                let t_irq = now.max(cpu.free);
-                vf_trace::set_now(t_irq);
-                let mut t = t_irq + cpu.cost.irq_to_napi();
-                let (frames, d) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "napi_poll",
-                    t,
-                    t + d,
-                    0,
-                    u64::from(pair),
-                );
-                t += d;
-                let mut delivered_payload: Option<Vec<u8>> = None;
-                for rx in frames {
-                    let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
-                    match parts.stack.netif_receive(
-                        &rx.frame,
-                        FLOW_PORT_BASE + pair,
-                        validated,
-                        &mut cpu.cost,
-                    ) {
-                        Ok((parsed, d)) => {
-                            vf_trace::span_at(
-                                vf_trace::Layer::Syscall,
-                                "udp_rx",
-                                t,
-                                t + d,
-                                rx.frame.len() as u64,
-                                u64::from(pair),
-                            );
-                            t += d;
-                            delivered_payload = Some(parsed.payload);
-                        }
-                        Err(SockError::BadChecksum) => {
-                            self.rec.verify_failures += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
-                    }
-                }
-                let d = cpu.cost.step(cpu.cost.costs.wakeup_to_run);
-                vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
-                t += d;
-                let len = delivered_payload.as_ref().map_or(0, |p| p.len());
-                let d = parts.stack.recvfrom_return(len, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "recvfrom_return",
-                    t,
-                    t + d,
-                    len as u64,
-                    0,
-                );
-                t += d;
-                cpu.free = t;
-
-                if delivered_payload.as_deref() != Some(&self.expected[..]) {
-                    self.rec.verify_failures += 1;
-                }
-                let hw = parts.device.counters.last_hw();
-                let proc = parts.device.counters.processing.last;
-                self.rec.record(t, hw, proc);
-                if self.rec.packets_left > 0 {
-                    let next = t + cpu.cost.step(cpu.cost.costs.app_loop_overhead);
-                    sched.at(next, MqEv::AppSend);
-                }
-            }
+            MqEv::Send(pair) => self.send(now, pair, sched),
+            MqEv::RxIrq(pair) => self.rx_irq(now, pair, sched),
+            ev => self.core.device_event(now, ev, sched),
         }
     }
 }
@@ -533,29 +556,42 @@ impl DriverModel for MqWorld {
     type Telemetry = ();
 
     fn build(cfg: &TestbedConfig) -> Self {
-        MqWorld::new(cfg)
-    }
-
-    fn initial_event() -> MqEv {
-        MqEv::AppSend
-    }
-
-    fn describe(msg: &MqEv) -> Option<(vf_trace::Layer, &'static str)> {
-        match msg {
-            MqEv::AppSend => Some((vf_trace::Layer::App, "app_send")),
-            MqEv::Doorbell(_) => Some((vf_trace::Layer::Device, "doorbell")),
-            MqEv::RxIrq(_) => Some((vf_trace::Layer::Irq, "msix_rx")),
+        let core = MqCore::new(cfg);
+        MqWorld {
+            rtt_names: if core.tenancy.is_some() {
+                &TENANT_RTT_NAMES
+            } else {
+                &MQ_RTT_NAMES
+            },
+            core,
+            expected: vec![0; cfg.payload],
+            sent: 0,
+            rec: RoundTripRecorder::new(cfg.packets),
         }
     }
 
+    fn initial_event() -> MqEv {
+        MqEv::Send(0)
+    }
+
+    fn describe(msg: &MqEv) -> Option<(Layer, &'static str)> {
+        Some(match msg {
+            MqEv::Send(_) => (Layer::App, "app_send"),
+            MqEv::Doorbell(_) => (Layer::Device, "doorbell"),
+            MqEv::EngineFree => (Layer::Device, "engine_free"),
+            MqEv::WorkerRx(..) => (Layer::Driver, "vhost_relay"),
+            MqEv::RxIrq(_) => (Layer::Irq, "msix_rx"),
+        })
+    }
+
     fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
-        let stats = self.parts.run_stats();
+        let stats = self.core.parts.run_stats();
         (self.rec, stats, ())
     }
 }
 
 // ---------------------------------------------------------------------
-// Pipelined world (the E19 measurement)
+// Pipelined world (the E19 and E21 measurements)
 // ---------------------------------------------------------------------
 
 /// Result of one [`run_mq`] sweep point.
@@ -612,86 +648,96 @@ impl MqThroughputResult {
     }
 }
 
-/// Pipelined events, all tagged with the queue pair they belong to.
-enum PipeEv {
-    Pump(u16),
-    Doorbell(u16),
-    RxIrq(u16),
-}
-
-/// Per-queue pipelining state: each pair runs the E12 windowed workload
-/// independently on its own core.
-struct QueueState {
+/// One flow's windowed workload (queue pair or tenant *i*, on its own
+/// core): the E12 workload, with the flow's own window depth and pause
+/// flag from its [`TenantConfig`] (the default one for MQ runs).
+pub(crate) struct Flow {
     payload_rng: SimRng,
     to_send: usize,
     in_flight: usize,
     seq: u32,
-    send_time: HashMap<u32, Time>,
-    expected: HashMap<u32, Vec<u8>>,
-    latency: SampleSet,
+    pending: InFlight<Pending>,
+    pub(crate) latency: SampleSet,
+    pub(crate) depth: usize,
+    pub(crate) paused: bool,
+    pub(crate) completed: usize,
+    pub(crate) last_completion: Time,
 }
 
 struct MqPipelinedWorld {
-    parts: MqParts,
-    queues: Vec<QueueState>,
-    depth: usize,
-    payload: usize,
-    received: usize,
+    core: MqCore,
+    flows: Vec<Flow>,
+    /// Scratch payload: each send draws into it, each echo is checked
+    /// against its regeneration in it.
+    payload: Vec<u8>,
     verify_failures: u64,
 }
 
 impl MqPipelinedWorld {
     fn new(cfg: &TestbedConfig, depth: usize) -> Self {
-        let parts = MqParts::new(cfg);
+        let core = MqCore::new(cfg);
         let rng = SimRng::new(cfg.seed);
-        let pairs = parts.pairs as usize;
-        let per_queue = cfg.packets / pairs;
-        let remainder = cfg.packets % pairs;
-        let queues = (0..pairs)
-            .map(|i| QueueState {
-                // One payload stream per queue: concurrent queues must
-                // not race for draws from a shared stream.
-                payload_rng: rng.derive(100 + i as u64),
-                to_send: per_queue + usize::from(i < remainder),
-                in_flight: 0,
-                seq: 0,
-                send_time: HashMap::new(),
-                expected: HashMap::new(),
-                latency: SampleSet::with_capacity(per_queue + 1),
+        let tenant_cfgs: Vec<TenantConfig> = match &core.tenancy {
+            Some(ten) => ten.cfgs.clone(),
+            None => vec![TenantConfig::default(); core.parts.pairs as usize],
+        };
+        let active = tenant_cfgs.iter().filter(|c| !c.paused).count();
+        assert!(active > 0, "at least one tenant must be active");
+        let (per_flow, remainder) = (cfg.packets / active, cfg.packets % active);
+        let mut rank = 0;
+        let flows = tenant_cfgs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let to_send = if c.paused {
+                    0
+                } else {
+                    rank += 1;
+                    per_flow + usize::from(rank <= remainder)
+                };
+                Flow {
+                    // One payload stream per flow: concurrent flows must
+                    // not race for draws from a shared stream.
+                    payload_rng: rng.derive(100 + i as u64),
+                    to_send,
+                    in_flight: 0,
+                    seq: 0,
+                    pending: InFlight::new(),
+                    latency: SampleSet::with_capacity(to_send + 1),
+                    depth: c.depth_or(depth),
+                    paused: c.paused,
+                    completed: 0,
+                    last_completion: Time::ZERO,
+                }
             })
             .collect();
         MqPipelinedWorld {
-            parts,
-            queues,
-            depth,
+            core,
+            flows,
             // Sequence number needs 4 bytes of payload.
-            payload: cfg.payload.max(4),
-            received: 0,
+            payload: vec![0; cfg.payload.max(4)],
             verify_failures: 0,
         }
     }
 
-    /// Top up queue `pair`'s window. Returns (cpu-done instant,
-    /// coalesced doorbell arrival).
-    fn refill(&mut self, pair: u16, now: Time) -> (Time, Option<Time>) {
-        let parts = &mut self.parts;
-        let q = &mut self.queues[pair as usize];
-        let cpu = parts.host.cpu_for_pair(pair);
+    /// Top up flow `pair`'s window, then block in `recvfrom`.
+    fn send(&mut self, now: Time, pair: u16, sched: &mut Scheduler<MqEv>) {
+        let q = &mut self.flows[pair as usize];
         let mut t = now;
         let mut doorbell_at: Option<Time> = None;
-        while q.in_flight < self.depth && q.to_send > 0 {
-            let mut payload = vec![0u8; self.payload];
-            q.payload_rng.fill_bytes(&mut payload);
-            payload[..4].copy_from_slice(&q.seq.to_le_bytes());
-            q.send_time.insert(q.seq, t);
-            q.expected.insert(q.seq, payload.clone());
+        while q.in_flight < q.depth && q.to_send > 0 {
+            let layout = PayloadLayout::StampOverFill;
+            q.pending
+                .send(layout, &mut q.payload_rng, q.seq, t, &mut self.payload);
+            let parts = &mut self.core.parts;
+            let cpu = parts.host.cpu_for_pair(pair);
             let (frame, cpu_t) = parts
                 .stack
                 .sendto(
                     parts.fpga_ip,
                     FLOW_PORT_BASE + pair,
                     7,
-                    &payload,
+                    &self.payload,
                     false,
                     &mut cpu.cost,
                 )
@@ -702,113 +748,140 @@ impl MqPipelinedWorld {
                 .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
             t += res.cpu;
             if res.notify {
-                let tx_q = net::tx_queue_of_pair(pair);
-                let ev = parts.device.mmio_write(
-                    bar0::NOTIFY + u64::from(tx_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
-                    2,
-                    u64::from(tx_q),
-                );
-                debug_assert_eq!(ev, Some(MmioEvent::Notify(tx_q)));
-                let arrival = parts.link.mmio_write(t, 2);
-                t += cpu.cost.step(cpu.cost.costs.mmio_write_cpu);
+                let (d, arrival) = self.core.kick(pair, t, frame.len(), false);
+                t += d;
                 doorbell_at = Some(doorbell_at.map_or(arrival, |d: Time| d.max(arrival)));
             }
             q.in_flight += 1;
             q.to_send -= 1;
             q.seq += 1;
         }
-        (t, doorbell_at)
+        if let Some(at) = doorbell_at {
+            sched.at(at, MqEv::Doorbell(pair));
+        }
+        let cpu = self.core.parts.host.cpu_for_pair(pair);
+        t += cpu.cost.step(cpu.cost.costs.syscall_entry);
+        t += cpu.cost.step(cpu.cost.costs.block_schedule);
+        cpu.free = t;
+        cpu.blocked = true;
+    }
+
+    fn rx_irq(&mut self, now: Time, pair: u16, sched: &mut Scheduler<MqEv>) {
+        let parts = &mut self.core.parts;
+        let q = &mut self.flows[pair as usize];
+        let cpu = parts.host.cpu_for_pair(pair);
+        let mut t = now.max(cpu.free) + cpu.cost.blocking_extra();
+        t += cpu.cost.step(cpu.cost.costs.hardirq_entry);
+        t += cpu.cost.step(cpu.cost.costs.softirq_latency);
+        let (frames, cpu_t) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
+        t += cpu_t;
+        if frames.is_empty() {
+            return;
+        }
+        if cpu.blocked {
+            t += cpu.cost.step(cpu.cost.costs.wakeup_to_run);
+            cpu.blocked = false;
+        }
+        for rx in frames {
+            let (parsed, cpu_t) = parts
+                .stack
+                .netif_receive(&rx.frame, FLOW_PORT_BASE + pair, false, &mut cpu.cost)
+                .unwrap_or_else(|e| panic!("receive path failed: {e:?}"));
+            t += cpu_t;
+            t += parts
+                .stack
+                .recvfrom_return(parsed.payload.len(), &mut cpu.cost);
+            let layout = PayloadLayout::StampOverFill;
+            let Some((t0, matched)) =
+                q.pending
+                    .complete(layout, &parsed.payload, &mut self.payload)
+            else {
+                // Not an outstanding sequence number: nothing to time.
+                self.verify_failures += 1;
+                continue;
+            };
+            self.verify_failures += u64::from(!matched);
+            q.latency.push((t - t0).quantize(Time::from_ns(1)));
+            q.in_flight -= 1;
+            q.completed += 1;
+            q.last_completion = t;
+        }
+        cpu.free = t;
+        if q.to_send > 0 || q.in_flight > 0 {
+            sched.at(t, MqEv::Send(pair));
+        }
     }
 }
 
 impl World for MqPipelinedWorld {
-    type Msg = PipeEv;
+    type Msg = MqEv;
 
-    fn deliver(&mut self, now: Time, msg: PipeEv, sched: &mut vf_sim::Scheduler<PipeEv>) {
-        self.parts.link.advance_epoch(now);
+    fn deliver(&mut self, now: Time, msg: MqEv, sched: &mut Scheduler<MqEv>) {
+        self.core.parts.link.advance_epoch(now);
         match msg {
-            PipeEv::Pump(pair) => {
-                let (mut t, doorbell) = self.refill(pair, now);
-                if let Some(at) = doorbell {
-                    sched.at(at, PipeEv::Doorbell(pair));
-                }
-                let cpu = self.parts.host.cpu_for_pair(pair);
-                t += cpu.cost.step(cpu.cost.costs.syscall_entry);
-                t += cpu.cost.step(cpu.cost.costs.block_schedule);
-                cpu.free = t;
-                cpu.blocked = true;
-            }
-            PipeEv::Doorbell(pair) => {
-                let parts = &mut self.parts;
-                let out = parts.device.process_tx_notify(
-                    now,
-                    net::tx_queue_of_pair(pair),
-                    &mut parts.mem,
-                    &mut parts.link,
-                );
-                for resp in &out.responses {
-                    let rx_q = parts.device.rss_steer(&resp.data);
-                    let rxo = parts.device.deliver_response(
-                        resp.ready_at,
-                        rx_q,
-                        resp,
-                        &mut parts.mem,
-                        &mut parts.link,
-                    );
-                    if let Some(irq_at) = rxo.irq_at {
-                        sched.at(irq_at, PipeEv::RxIrq(rx_q / 2));
-                    }
-                }
-            }
-            PipeEv::RxIrq(pair) => {
-                let parts = &mut self.parts;
-                let q = &mut self.queues[pair as usize];
-                let cpu = parts.host.cpu_for_pair(pair);
-                let mut t = now.max(cpu.free) + cpu.cost.blocking_extra();
-                t += cpu.cost.step(cpu.cost.costs.hardirq_entry);
-                t += cpu.cost.step(cpu.cost.costs.softirq_latency);
-                let (frames, cpu_t) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
-                t += cpu_t;
-                if frames.is_empty() {
-                    return;
-                }
-                if cpu.blocked {
-                    t += cpu.cost.step(cpu.cost.costs.wakeup_to_run);
-                    cpu.blocked = false;
-                }
-                for rx in frames {
-                    match parts.stack.netif_receive(
-                        &rx.frame,
-                        FLOW_PORT_BASE + pair,
-                        false,
-                        &mut cpu.cost,
-                    ) {
-                        Ok((parsed, cpu_t)) => {
-                            t += cpu_t;
-                            t += parts
-                                .stack
-                                .recvfrom_return(parsed.payload.len(), &mut cpu.cost);
-                            let seq = u32::from_le_bytes(
-                                parsed.payload[..4].try_into().expect("seq header"),
-                            );
-                            let expected = q.expected.remove(&seq);
-                            if expected.as_deref() != Some(&parsed.payload[..]) {
-                                self.verify_failures += 1;
-                            }
-                            let t0 = q.send_time.remove(&seq).expect("known seq");
-                            q.latency.push((t - t0).quantize(Time::from_ns(1)));
-                            q.in_flight -= 1;
-                            self.received += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
-                    }
-                }
-                cpu.free = t;
-                if q.to_send > 0 || q.in_flight > 0 {
-                    sched.at(t, PipeEv::Pump(pair));
-                }
-            }
+            MqEv::Send(pair) => self.send(now, pair, sched),
+            MqEv::RxIrq(pair) => self.rx_irq(now, pair, sched),
+            ev => self.core.device_event(now, ev, sched),
         }
+    }
+}
+
+/// What [`run_mq`] and [`crate::run_tenants`] report alike.
+pub(crate) struct PipelinedRun {
+    pub(crate) pairs: u16,
+    /// First send of every active flow.
+    pub(crate) start: Time,
+    pub(crate) pps: f64,
+    pub(crate) flows: Vec<Flow>,
+    pub(crate) stats: RunStats,
+    pub(crate) verify_failures: u64,
+    pub(crate) link_util_up: f64,
+    pub(crate) link_util_down: f64,
+    pub(crate) tenancy: Option<Tenancy>,
+}
+
+/// Run the pipelined world: every active flow keeps its window full
+/// until the flows drain `cfg.packets` round trips between them.
+pub(crate) fn run_pipelined_mq(cfg: &TestbedConfig, depth: usize) -> PipelinedRun {
+    let world = MqPipelinedWorld::new(cfg, depth);
+    for q in &world.flows {
+        assert!(
+            q.depth <= cfg.options.queue_size as usize / 2,
+            "window must fit the TX ring ({} two-descriptor chains)",
+            cfg.options.queue_size / 2
+        );
+    }
+    let what = if world.core.tenancy.is_some() {
+        "tenant pipeline"
+    } else {
+        "mq pipeline"
+    };
+    let mut sim = Simulation::new(world);
+    let start = Time::from_us(10);
+    for pair in 0..sim.world.core.parts.pairs {
+        if !sim.world.flows[pair as usize].paused {
+            sim.schedule_at(start, MqEv::Send(pair));
+        }
+    }
+    sim.run_expect_idle(Time::from_secs(3600), 500_000_000, what);
+    let elapsed = sim.now() - start;
+    let w = sim.world;
+    let received: usize = w.flows.iter().map(|q| q.completed).sum();
+    assert_eq!(received, cfg.packets, "packets lost");
+    let link = &w.core.parts.link;
+    let wire = |bytes: u64| {
+        Time::from_ps(bytes * link.cfg.ps_per_byte()).as_us_f64() / elapsed.as_us_f64()
+    };
+    PipelinedRun {
+        pairs: w.core.parts.pairs,
+        start,
+        pps: cfg.packets as f64 / (elapsed.as_us_f64() / 1e6),
+        stats: w.core.parts.run_stats(),
+        verify_failures: w.verify_failures,
+        link_util_up: wire(link.up_wire_bytes),
+        link_util_down: wire(link.down_wire_bytes),
+        flows: w.flows,
+        tenancy: w.core.tenancy,
     }
 }
 
@@ -823,40 +896,19 @@ pub fn run_mq(cfg: &TestbedConfig, depth: usize) -> MqThroughputResult {
         ),
         "run_mq drives the MQ front ends"
     );
-    assert!(
-        depth <= cfg.options.queue_size as usize / 2,
-        "window must fit the TX ring ({} two-descriptor chains)",
-        cfg.options.queue_size / 2
-    );
-    let world = MqPipelinedWorld::new(cfg, depth);
-    let pairs = world.parts.pairs;
-    let mut sim = Simulation::new(world);
-    let start = Time::from_us(10);
-    for pair in 0..pairs {
-        sim.schedule_at(start, PipeEv::Pump(pair));
-    }
-    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-    assert_eq!(outcome, vf_sim::RunOutcome::Idle, "mq pipeline wedged");
-    let elapsed = sim.now() - start;
-    let w = sim.world;
-    assert_eq!(w.received, cfg.packets, "packets lost");
-    let stats = w.parts.run_stats();
-    let link = &w.parts.link;
-    let wire = |bytes: u64| {
-        Time::from_ps(bytes * link.cfg.ps_per_byte()).as_us_f64() / elapsed.as_us_f64()
-    };
+    let run = run_pipelined_mq(cfg, depth);
     MqThroughputResult {
-        queues: pairs,
+        queues: run.pairs,
         depth,
         packets: cfg.packets,
-        pps: cfg.packets as f64 / (elapsed.as_us_f64() / 1e6),
-        per_queue_latency: w.queues.into_iter().map(|q| q.latency).collect(),
-        doorbells: stats.notifications,
-        irqs: stats.irqs,
-        verify_failures: w.verify_failures,
-        link_util_up: wire(link.up_wire_bytes),
-        link_util_down: wire(link.down_wire_bytes),
-        peak_np_inflight: stats.walker_peak_inflight,
+        pps: run.pps,
+        per_queue_latency: run.flows.into_iter().map(|q| q.latency).collect(),
+        doorbells: run.stats.notifications,
+        irqs: run.stats.irqs,
+        verify_failures: run.verify_failures,
+        link_util_up: run.link_util_up,
+        link_util_down: run.link_util_down,
+        peak_np_inflight: run.stats.walker_peak_inflight,
     }
 }
 
@@ -929,7 +981,7 @@ mod tests {
         let (delivered, report) = crate::metered(vf_metrics::MetricsConfig::default(), || {
             let mut sim = vf_sim::Simulation::new(MqPipelinedWorld::new(&c, 8));
             for pair in 0..4 {
-                sim.schedule_at(Time::from_us(10), PipeEv::Pump(pair));
+                sim.schedule_at(Time::from_us(10), MqEv::Send(pair));
             }
             sim.run_expect_idle(Time::from_secs(3600), 500_000_000, "mq pipeline");
             sim.events_delivered()

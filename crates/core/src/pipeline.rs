@@ -15,12 +15,11 @@
 //! transfer (one channel per direction, §III-B2), so its throughput is
 //! pinned to `1 / round-trip`.
 
-use std::collections::HashMap;
-
 use vf_fpga::{bar0, MmioEvent};
 use vf_sim::{SampleSet, Simulation, Time, World};
 use vf_virtio::net;
 
+use crate::inflight::{InFlight, PayloadLayout, Pending};
 use crate::testbed::{DriverKind, Testbed, TestbedConfig};
 
 /// Result of a pipelined run.
@@ -66,13 +65,14 @@ enum Ev {
 struct PipelinedWorld {
     inner: crate::testbed::VirtioParts,
     depth: usize,
-    payload: usize,
     to_send: usize,
     received: usize,
     in_flight: usize,
     seq: u32,
-    send_time: HashMap<u32, Time>,
-    expected: HashMap<u32, Vec<u8>>,
+    pending: InFlight<Pending>,
+    /// Scratch payload: each send draws into it, each echo is checked
+    /// against its regeneration in it.
+    payload: Vec<u8>,
     latency: SampleSet,
     verify_failures: u64,
     /// Pending doorbell coalescing: at most one Doorbell event in flight.
@@ -90,13 +90,12 @@ impl PipelinedWorld {
         PipelinedWorld {
             inner: crate::testbed::VirtioParts::new(cfg),
             depth,
-            payload: cfg.payload.max(4),
             to_send: cfg.packets,
             received: 0,
             in_flight: 0,
             seq: 0,
-            send_time: HashMap::new(),
-            expected: HashMap::new(),
+            pending: InFlight::new(),
+            payload: vec![0; cfg.payload.max(4)],
             latency: SampleSet::with_capacity(cfg.packets),
             verify_failures: 0,
             cpu_free: Time::ZERO,
@@ -110,11 +109,13 @@ impl PipelinedWorld {
         let mut doorbell_at = None;
         while self.in_flight < self.depth && self.to_send > 0 {
             // Payload: sequence number + deterministic filler.
-            let mut payload = vec![0u8; self.payload];
-            payload[..4].copy_from_slice(&self.seq.to_le_bytes());
-            self.inner.payload_rng.fill_bytes(&mut payload[4..]);
-            self.send_time.insert(self.seq, t);
-            self.expected.insert(self.seq, payload.clone());
+            self.pending.send(
+                PayloadLayout::FillAfterStamp,
+                &mut self.inner.payload_rng,
+                self.seq,
+                t,
+                &mut self.payload,
+            );
 
             let (frame, cpu) = self
                 .inner
@@ -123,7 +124,7 @@ impl PipelinedWorld {
                     self.inner.fpga_ip,
                     40_000,
                     7,
-                    &payload,
+                    &self.payload,
                     false,
                     &mut self.inner.cost,
                 )
@@ -223,14 +224,16 @@ impl World for PipelinedWorld {
                                 .inner
                                 .stack
                                 .recvfrom_return(parsed.payload.len(), &mut self.inner.cost);
-                            let seq = u32::from_le_bytes(
-                                parsed.payload[..4].try_into().expect("seq header"),
-                            );
-                            let expected = self.expected.remove(&seq);
-                            if expected.as_deref() != Some(&parsed.payload[..]) {
+                            let layout = PayloadLayout::FillAfterStamp;
+                            let Some((t0, matched)) =
+                                self.pending
+                                    .complete(layout, &parsed.payload, &mut self.payload)
+                            else {
+                                // Not an outstanding sequence number.
                                 self.verify_failures += 1;
-                            }
-                            let t0 = self.send_time.remove(&seq).expect("known seq");
+                                continue;
+                            };
+                            self.verify_failures += u64::from(!matched);
                             self.latency.push((t - t0).quantize(Time::from_ns(1)));
                             self.in_flight -= 1;
                             self.received += 1;
@@ -253,8 +256,7 @@ pub fn run_pipelined(cfg: &TestbedConfig, depth: usize) -> ThroughputResult {
     let world = PipelinedWorld::new(cfg, depth);
     let mut sim = Simulation::new(world);
     sim.schedule(Time::from_us(10), Ev::Pump);
-    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-    assert_eq!(outcome, vf_sim::RunOutcome::Idle, "pipeline wedged");
+    sim.run_expect_idle(Time::from_secs(3600), 500_000_000, "pipeline");
     let elapsed = sim.now() - Time::from_us(10);
     let w = sim.world;
     assert_eq!(w.received, cfg.packets, "packets lost");
