@@ -100,13 +100,17 @@ impl HostMemory {
     /// working set once at init, as the drivers under test do.
     pub fn alloc(&mut self, len: usize, align: u64) -> u64 {
         assert!(align.is_power_of_two());
-        let addr = (self.next + align - 1) & !(align - 1);
-        assert!(
-            addr + len as u64 <= self.end(),
-            "host memory exhausted: need {len:#x} at {addr:#x}"
-        );
-        self.next = addr + len as u64;
-        addr
+        let addr = self.next.checked_add(align - 1).map(|a| a & !(align - 1));
+        match addr.and_then(|a| Some((a, a.checked_add(len as u64)?))) {
+            Some((addr, end)) if end <= self.end() => {
+                self.next = end;
+                addr
+            }
+            _ => panic!(
+                "host memory exhausted: need {len:#x} aligned to {align:#x} after {:#x}",
+                self.next
+            ),
+        }
     }
 
     /// Bytes currently allocated.
@@ -330,6 +334,24 @@ mod tests {
     fn oversized_alloc_panics() {
         let mut m = HostMemory::new(0, 4096);
         let _ = m.alloc(8192, 8);
+    }
+
+    /// An allocation whose end overflows `u64` is exhaustion, not a
+    /// wrapped sum that hands out a range overlapping the next one.
+    #[test]
+    #[should_panic(expected = "host memory exhausted")]
+    fn alloc_end_past_u64_max_panics() {
+        let mut m = HostMemory::new(0x1000, 4096);
+        let _ = m.alloc(usize::MAX, 8);
+    }
+
+    /// Likewise when rounding up to the alignment overflows: the
+    /// wrapped address would be 0, outside a window near `u64::MAX`.
+    #[test]
+    #[should_panic(expected = "host memory exhausted")]
+    fn alloc_alignment_past_u64_max_panics() {
+        let mut m = HostMemory::new(u64::MAX - 0x1fff, 4096);
+        let _ = m.alloc(16, 1 << 63);
     }
 
     /// One step of a recycling script: `(kind, at, len, fill)`, where
