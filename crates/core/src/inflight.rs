@@ -33,11 +33,8 @@ impl<T> InFlight<T> {
     }
 
     /// Record `entry` under `tag`, which must be the tag after the
-    /// newest one recorded (any tag when the table is empty).
+    /// newest one recorded (0 for the first).
     pub(crate) fn insert(&mut self, tag: u32, entry: T) {
-        if self.slots.is_empty() {
-            self.oldest = tag;
-        }
         assert_eq!(
             tag.wrapping_sub(self.oldest) as usize,
             self.slots.len(),
@@ -187,7 +184,10 @@ mod tests {
 
     #[test]
     fn tags_wrap_past_u32_max() {
-        let mut t = InFlight::new();
+        let mut t = InFlight {
+            oldest: u32::MAX - 1,
+            slots: VecDeque::new(),
+        };
         t.insert(u32::MAX - 1, 1);
         t.insert(u32::MAX, 2);
         t.insert(0, 3);
@@ -201,13 +201,13 @@ mod tests {
     #[should_panic(expected = "recorded in order")]
     fn out_of_order_insert_panics() {
         let mut t = InFlight::new();
-        t.insert(3, ());
-        t.insert(5, ());
+        t.insert(0, ());
+        t.insert(2, ());
     }
 
     /// A window of 16 kept full over 10k sends, each completion picked
-    /// pseudo-randomly from the window: the table never holds more than
-    /// the span of outstanding tags, which here stays near the window.
+    /// pseudo-randomly from the window: the table holds exactly the
+    /// span from the oldest outstanding tag to the newest, never more.
     #[test]
     fn length_stays_bounded_at_depth_16() {
         let mut rng = SimRng::new(5);
@@ -218,15 +218,15 @@ mod tests {
             t.insert(tag, tag);
             outstanding.push(tag);
             if outstanding.len() == 16 {
-                let i = rng.below(16) as usize;
-                let done = outstanding.swap_remove(i);
+                let done = outstanding.swap_remove(rng.below(16) as usize);
                 assert_eq!(t.take(done), Some(done));
             }
+            let oldest = *outstanding.iter().min().expect("window is never empty");
+            assert_eq!(t.len(), (tag - oldest + 1) as usize);
             peak = peak.max(t.len());
         }
-        // Each completion picks one of 16 uniformly, so a tag survives
-        // k picks with probability (15/16)^k; a span of 512 would
-        // need one to survive ~500 picks.
+        // A tag survives k picks with probability (15/16)^k: a span of
+        // 512 needs one to outlive ~500 (this seed peaks at 137).
         assert!(peak < 512, "span peaked at {peak}");
         for done in outstanding {
             t.take(done).unwrap();

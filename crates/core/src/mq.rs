@@ -658,7 +658,7 @@ pub(crate) struct Flow {
     seq: u32,
     pending: InFlight<Pending>,
     pub(crate) latency: SampleSet,
-    pub(crate) depth: usize,
+    depth: usize,
     pub(crate) paused: bool,
     pub(crate) completed: usize,
     pub(crate) last_completion: Time,

@@ -133,10 +133,12 @@ pub struct TestbedOptions {
     /// timed from the previous send. `None` (default) runs closed-loop
     /// back-to-back like the other drivers.
     pub pmd_send_interval: Option<Time>,
-    /// E19 (`DriverKind::VirtioMq` only): RX/TX queue pairs to
-    /// negotiate and activate via `VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET`.
-    /// Must be a power of two ≤ 8 (the flow-steering hash pins flow
-    /// *i* to pair *i* only for power-of-two counts).
+    /// E19/E21 (`DriverKind::VirtioMq`, `VirtioMqPacked` and
+    /// `VirtioTenant`): RX/TX queue pairs to negotiate and activate via
+    /// `VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET`; under `VirtioTenant`, one pair
+    /// per tenant. Must be a power of two ≤
+    /// [`MAX_QUEUE_PAIRS`](crate::MAX_QUEUE_PAIRS) (the flow-steering
+    /// hash pins flow *i* to pair *i* only for power-of-two counts).
     pub mq_queue_pairs: u16,
     /// E20 (MQ worlds only): maximum non-posted reads one DMA tag may
     /// keep in flight. `1` (default) is the strict serial walker —
