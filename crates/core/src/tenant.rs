@@ -6,7 +6,7 @@
 //! own MSI-X vector and DMA tag context (the SR-IOV-style slice of the
 //! multi-tag link) — while the device's single embedded
 //! descriptor-walker engine is shared. The tenant runs are the MQ
-//! worlds of [`crate::mq`] with one layer added, [`Tenancy`], which
+//! worlds of [`crate::mq`] with one layer added, `Tenancy`, which
 //! turns that sharing into the experiment:
 //!
 //! * a **QoS arbiter** ([`vf_tenant::QosArbiter`]): a doorbell landing
