@@ -23,13 +23,13 @@
 //! * [`testbed`] — the discrete-event worlds for both driver stacks;
 //! * [`pmd`] — the third contender: the `vf-pmd` userspace kernel-bypass
 //!   poll-mode driver world (E15/E16);
-//! * [`mq`] — the multi-queue virtio-net scaling worlds (E19): N queue
+//! * [`mq`] — the multi-queue virtio-net worlds (E19/E21): N queue
 //!   pairs, per-queue MSI-X, one simulated host core per pair;
 //! * [`blk`] — the virtio-blk device class (E24): serial round-trip
 //!   world, queue-depth storage sweeps, and the XDMA storage baseline;
-//! * [`tenant`] — the multi-tenant vhost multiplexing worlds (E21): M
-//!   guest VMs sharing one device through per-tenant vhost workers and
-//!   a pluggable QoS arbiter;
+//! * [`tenant`] — multi-tenant vhost multiplexing (E21), the tenancy
+//!   layer of the [`mq`] worlds: M guest VMs sharing one device through
+//!   per-tenant vhost workers and a pluggable QoS arbiter;
 //! * [`report`] — sample sets, summaries, table rendering;
 //! * [`experiments`] — one function per paper artifact (Fig. 3, Fig. 4,
 //!   Fig. 5, Table I) plus the extension experiments E5–E11.
