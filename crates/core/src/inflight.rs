@@ -56,13 +56,6 @@ impl<T> InFlight<T> {
         }
         Some(entry)
     }
-
-    /// Slots held: the span from the oldest outstanding tag to the
-    /// newest recorded one.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Where an echo runner puts the 4-byte little-endian sequence number
@@ -139,6 +132,14 @@ impl InFlight<Pending> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> InFlight<T> {
+        /// Slots held: the span from the oldest outstanding tag to the
+        /// newest recorded one.
+        fn len(&self) -> usize {
+            self.slots.len()
+        }
+    }
 
     #[test]
     fn completions_in_any_order_find_their_entries() {
